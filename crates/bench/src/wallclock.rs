@@ -7,8 +7,10 @@
 //! Keeping the specs here (rather than inline in each bench) guarantees
 //! the before/after runs execute the exact same workloads.
 
-use skv_core::cluster::RunSpec;
+use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::histcheck::History;
+use skv_core::replmode::ReplModeKind;
 use skv_simcore::SimDuration;
 
 /// True when `SKV_BENCH_SMOKE` is set (non-empty): benches shrink their
@@ -149,4 +151,49 @@ pub fn shards_spec(num_shards: usize, seed: u64) -> RunSpec {
         zipf_theta: 0.0,
         zipf_shift_every: 0,
     }
+}
+
+/// Linearizability-checker workload: quorum replication to 3 slaves, 8
+/// closed-loop clients, 50% SET over 10k keys, with every bench client
+/// recording its history, at key skew `theta`. Uniform keys give many
+/// short per-key histories (the per-key overhead); Zipf 0.99 piles
+/// thousands of ops onto a few hot keys (the per-key search).
+pub fn histcheck_spec(theta: f64, seed: u64) -> RunSpec {
+    let mut cfg = ClusterConfig::for_mode(Mode::Skv);
+    cfg.num_slaves = 3;
+    cfg.repl_mode = ReplModeKind::Quorum;
+    cfg.record_history = true;
+    RunSpec {
+        cfg,
+        num_clients: 8,
+        pipeline: 1,
+        set_ratio: 0.5,
+        mset_keys: 0,
+        value_size: 64,
+        key_space: 10_000,
+        warmup: SimDuration::from_millis(20),
+        measure: if smoke() {
+            SimDuration::from_millis(30)
+        } else {
+            SimDuration::from_millis(250)
+        },
+        seed,
+        zipf_theta: theta,
+        zipf_shift_every: 0,
+    }
+}
+
+/// Run [`histcheck_spec`] and let in-flight replies land, returning the
+/// recorded client history — the input `wallclock_histcheck` times the
+/// checker on.
+pub fn histcheck_history(theta: f64, seed: u64) -> History {
+    let mut cluster = Cluster::build(histcheck_spec(theta, seed));
+    cluster.run();
+    let settle = cluster.measure_until + SimDuration::from_millis(500);
+    cluster.sim.run_until(settle);
+    cluster
+        .bench_history
+        .take()
+        .map(|recorded| recorded.take())
+        .unwrap_or_default()
 }

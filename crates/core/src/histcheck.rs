@@ -19,14 +19,34 @@
 //!   is a linearizability witness for the probe keys; for the async
 //!   arm the *expected* stale-read violations are the evidence that it
 //!   only converges eventually.
-//! * [`check_linearizable`] — the full multi-writer checker: a Wing &
-//!   Gong–style per-key partitioned search over invocation/response
-//!   windows with memoized state pruning. It ingests *bench* client
-//!   histories (recorded behind `ClusterConfig::record_history`,
+//! * [`check_linearizable`] — the full multi-writer checker over *bench*
+//!   client histories (recorded behind `ClusterConfig::record_history`,
 //!   including NIC-cache-served GETs and forwarded FWD_CMD replies),
 //!   not just the side probes. [`check_linearizable_upto`] checks a
 //!   prefix only — the tool for proving a history linearizable up to a
 //!   declared cross-mode degradation point.
+//!
+//! Both checkers are near-linear in ops, so they run on large,
+//! Zipf-skewed histories in seconds:
+//!
+//! * **Sweep-line screens.** Phantom, stale and non-monotone reads are
+//!   found per key by walking reads in invocation order against a list
+//!   sorted by completion (acked writes for freshness, reads for
+//!   monotonicity), keeping a running maximum of write invocation times
+//!   — O(ops log ops) per key. Phantom and stale reads are reported once
+//!   per offending read; non-monotone once per offending *later* read.
+//! * **Frontier search.** Keys the screens pass go through a Wing &
+//!   Gong search with memoized states. Ops are sorted by invocation and
+//!   a state is `(first unlinearized index, window bitset above it,
+//!   register)`. Candidates come from a scan forward from that index
+//!   that stops at the first op invoked after the earliest pending
+//!   required response, so a step costs the concurrency window, not
+//!   the key's op count. A read matching the register is taken without
+//!   branching. Maybe-applied writes whose value no read observed are
+//!   dropped up front: no read can sit between one and the next write,
+//!   so removing it from any witness leaves a witness. A key that
+//!   exhausts `SEARCH_BUDGET` states is reported as a failure, never a
+//!   pass.
 //!
 //! Everything is deterministic: actors draw from split [`DetRng`]s, the
 //! history lives in a [`SharedHistory`] the test inspects after the run.
@@ -40,7 +60,7 @@
 //! infinite-window op and over-constrain the search forever.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use skv_netsim::{CqId, DetMap, Net, NetEvent, NodeId, QpId, SocketAddr};
@@ -105,7 +125,8 @@ pub fn new_history() -> SharedHistory {
     Rc::new(RefCell::new(History::default()))
 }
 
-/// One consistency violation found by [`check_single_writer`].
+/// One consistency violation found by [`check_single_writer`] or
+/// [`check_linearizable`].
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// The key the violation occurred on.
@@ -135,7 +156,12 @@ impl std::fmt::Display for Violation {
 ///    travel" between quorums).
 ///
 /// Incomplete or failed operations are treated conservatively: their
-/// effects are allowed but never required.
+/// effects are allowed but never required. Each condition is one sorted
+/// sweep per key — freshness keeps a running maximum over acked writes
+/// ordered by completion, monotonicity over reads ordered by completion —
+/// so a key costs O(ops log ops). Conditions 1 and 2 report each
+/// offending read once; condition 3 reports each later read that
+/// regressed below some earlier read, once.
 pub fn check_single_writer(history: &History) -> Vec<Violation> {
     let mut by_key: BTreeMap<&str, (Vec<&OpRecord>, Vec<&OpRecord>)> = BTreeMap::new();
     for op in &history.ops {
@@ -147,63 +173,85 @@ pub fn check_single_writer(history: &History) -> Vec<Violation> {
     }
     let mut violations = Vec::new();
     for (key, (writes, reads)) in by_key {
-        let done_reads: Vec<&OpRecord> = reads
+        // (invoked, completed, seq) of every successful read, record order.
+        let done_reads: Vec<(SimTime, SimTime, u64)> = reads
             .iter()
-            .copied()
-            .filter(|r| r.ok && r.completed.is_some())
+            .filter(|r| r.ok)
+            .filter_map(|r| r.completed.map(|done| (r.invoked, done, r.seq)))
             .collect();
-        for r in &done_reads {
-            let Some(r_done) = r.completed else { continue };
+        if done_reads.is_empty() {
+            continue;
+        }
+        // seq → earliest invocation of a write of it (sorted by seq).
+        let mut first_inv: Vec<(u64, SimTime)> =
+            writes.iter().map(|w| (w.seq, w.invoked)).collect();
+        first_inv.sort_unstable();
+        first_inv.dedup_by_key(|e| e.0);
+        // Successfully acked writes as (completed, seq), by completion.
+        let mut acked: Vec<(SimTime, u64)> = writes
+            .iter()
+            .filter(|w| w.ok)
+            .filter_map(|w| w.completed.map(|t| (t, w.seq)))
+            .collect();
+        acked.sort_unstable();
+        let mut by_inv: Vec<usize> = (0..done_reads.len()).collect();
+        by_inv.sort_by_key(|&i| done_reads[i].0);
+        let mut by_done: Vec<usize> = (0..done_reads.len()).collect();
+        by_done.sort_by_key(|&i| done_reads[i].1);
+
+        // 2. Freshness floor: the newest acked write completed strictly
+        //    before the read's invocation. 3. Monotonicity: the largest
+        //    value seen by a read completed at or before the invocation.
+        let mut floor = vec![0u64; done_reads.len()];
+        let mut prior_max: Vec<Option<u64>> = vec![None; done_reads.len()];
+        let (mut w, mut acked_max) = (0, 0u64);
+        let (mut q, mut seen_max) = (0, None::<u64>);
+        for &i in &by_inv {
+            let inv = done_reads[i].0;
+            while let Some(&(_, seq)) = acked.get(w).filter(|a| a.0 < inv) {
+                acked_max = acked_max.max(seq);
+                w += 1;
+            }
+            floor[i] = acked_max;
+            while let Some(&j) = by_done.get(q).filter(|&&j| done_reads[j].1 <= inv) {
+                seen_max = seen_max.max(Some(done_reads[j].2));
+                q += 1;
+            }
+            prior_max[i] = seen_max;
+        }
+
+        let mut non_monotone = Vec::new();
+        for (i, &(inv, r_done, seq)) in done_reads.iter().enumerate() {
             // 1. Provenance: the value must come from a write invoked
             // before the read completed.
-            if r.seq != 0 && !writes.iter().any(|w| w.seq == r.seq && w.invoked < r_done) {
+            let written = first_inv
+                .binary_search_by_key(&seq, |e| e.0)
+                .is_ok_and(|at| first_inv[at].1 < r_done);
+            if seq != 0 && !written {
                 violations.push(Violation {
                     key: key.to_string(),
                     detail: format!(
-                        "read at {:?} observed {} which was never written before it",
-                        r_done, r.seq
+                        "read at {r_done:?} observed {seq} which was never written before it"
                     ),
                 });
             }
-            // 2. Freshness: at least the newest write that completed
-            // successfully before the read was invoked.
-            let floor = writes
-                .iter()
-                .filter(|w| w.ok && w.completed.is_some_and(|t| t < r.invoked))
-                .map(|w| w.seq)
-                .max()
-                .unwrap_or(0);
-            if r.seq < floor {
+            if seq < floor[i] {
                 violations.push(Violation {
                     key: key.to_string(),
                     detail: format!(
-                        "stale read: observed {} at {:?} but write {} completed before {:?}",
-                        r.seq, r_done, floor, r.invoked
+                        "stale read: observed {seq} at {r_done:?} but write {} completed before {inv:?}",
+                        floor[i]
                     ),
                 });
             }
-        }
-        // 3. Monotonicity across non-overlapping reads.
-        for (i, r1) in done_reads.iter().enumerate() {
-            let Some(r1_done) = r1.completed else {
-                continue;
-            };
-            for r2 in &done_reads[i + 1..] {
-                let (first, second) = if r1_done <= r2.invoked {
-                    (*r1, *r2)
-                } else if r2.completed.is_some_and(|t| t <= r1.invoked) {
-                    (*r2, *r1)
-                } else {
-                    continue; // overlapping — either order is legal
-                };
-                if second.seq < first.seq {
-                    violations.push(Violation {
-                        key: key.to_string(),
-                        detail: format!("non-monotone reads: {} then {}", first.seq, second.seq),
-                    });
-                }
+            if let Some(first) = prior_max[i].filter(|&m| seq < m) {
+                non_monotone.push(Violation {
+                    key: key.to_string(),
+                    detail: format!("non-monotone reads: {first} then {seq}"),
+                });
             }
         }
+        violations.extend(non_monotone);
     }
     violations
 }
@@ -218,7 +266,7 @@ pub fn stale_reads(violations: &[Violation]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-writer linearizability (Wing & Gong-style search)
+// Multi-writer linearizability: sweep-line screens + frontier search
 // ---------------------------------------------------------------------------
 
 /// Per-key state budget for the exhaustive search: the maximum number of
@@ -228,7 +276,36 @@ pub fn stale_reads(violations: &[Violation]) -> usize {
 /// anywhere near this.
 const SEARCH_BUDGET: usize = 200_000;
 
+/// A non-aborted write as the checker sees it.
+#[derive(Debug, Clone, Copy)]
+struct WriteOp {
+    inv: SimTime,
+    /// Success-reply instant; `None` when the write may or may not have
+    /// applied (no reply, or an error reply).
+    done: Option<SimTime>,
+    value: u64,
+}
+
+/// A completed, successful, non-aborted read — the only reads that
+/// observed anything.
+#[derive(Debug, Clone, Copy)]
+struct ReadOp {
+    inv: SimTime,
+    resp: SimTime,
+    value: u64,
+}
+
+/// What the writes of one value establish: the earliest invocation and
+/// the earliest success reply among them.
+#[derive(Debug, Clone, Copy)]
+struct ValueFacts {
+    value: u64,
+    inv: SimTime,
+    done: Option<SimTime>,
+}
+
 /// One operation as the search sees it after classification.
+#[derive(Debug, Clone, Copy)]
 struct SearchOp {
     /// Invocation instant.
     inv: SimTime,
@@ -244,253 +321,480 @@ struct SearchOp {
     required: bool,
 }
 
-/// Classify a key's records into search operations.
-///
-/// * Completed successful writes are **required** with their real window.
-/// * Incomplete and error-reply writes are **optional** with an open
-///   window — they may have applied, so their effect is allowed from
-///   invocation on but never demanded. (Extending an errored write's
-///   window past its reply is deliberate slack: it only *admits* more
-///   schedules, so it can never produce a false rejection.)
-/// * Completed successful reads are **required** — the register must
-///   hold their observed value at the chosen point.
-/// * Aborted, incomplete and error reads observed nothing: dropped.
-fn classify(recs: &[&OpRecord]) -> Vec<SearchOp> {
-    let mut out = Vec::new();
-    for op in recs {
-        if op.aborted {
-            continue;
-        }
-        match op.kind {
-            OpKind::Write => {
-                let (resp, required) = match op.completed {
-                    Some(t) if op.ok => (t, true),
-                    _ => (SimTime::MAX, false),
-                };
-                out.push(SearchOp {
-                    inv: op.invoked,
-                    resp,
-                    is_write: true,
-                    value: op.seq,
-                    required,
-                });
+/// Running maximum of `(instant, value)` pairs that also keeps the best
+/// pair of a *different* value, so a query can exclude one value exactly.
+#[derive(Debug, Default)]
+struct TopTwo {
+    first: Option<(SimTime, u64)>,
+    /// Latest pair whose value differs from `first`'s.
+    second: Option<(SimTime, u64)>,
+}
+
+impl TopTwo {
+    fn insert(&mut self, t: SimTime, v: u64) {
+        match self.first {
+            None => self.first = Some((t, v)),
+            Some((ft, fv)) if fv == v => self.first = Some((ft.max(t), v)),
+            Some((ft, _)) if t > ft => {
+                self.second = self.first;
+                self.first = Some((t, v));
             }
-            OpKind::Read => {
-                if let Some(t) = op.completed {
-                    if op.ok {
-                        out.push(SearchOp {
+            Some(_) => {
+                if self.second.is_none_or(|(st, _)| t > st) {
+                    self.second = Some((t, v));
+                }
+            }
+        }
+    }
+
+    /// The latest pair whose value is not `v`.
+    fn latest_other_than(&self, v: u64) -> Option<(SimTime, u64)> {
+        match self.first {
+            Some((_, fv)) if fv == v => self.second,
+            first => first,
+        }
+    }
+}
+
+/// A search state: every op before `first` (in invocation order) is
+/// linearized, `first` itself is not, and bit `i` of `window` marks op
+/// `first + 1 + i` as linearized. `window` never ends in a zero word, so
+/// each set of linearized ops has exactly one encoding.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Frontier {
+    first: usize,
+    reg: u64,
+    window: Vec<u64>,
+}
+
+impl Frontier {
+    /// Call `visit` on every unlinearized op index below `n`, in
+    /// invocation order, until it returns `false`.
+    fn for_each_undone(&self, n: usize, mut visit: impl FnMut(usize) -> bool) {
+        if self.first >= n || !visit(self.first) {
+            return;
+        }
+        let base = self.first + 1;
+        for (k, &word) in self.window.iter().enumerate() {
+            let mut free = !word;
+            while free != 0 {
+                let j = base + k * 64 + free.trailing_zeros() as usize;
+                if j >= n || !visit(j) {
+                    return;
+                }
+                free &= free - 1;
+            }
+        }
+        for j in base + self.window.len() * 64..n {
+            if !visit(j) {
+                return;
+            }
+        }
+    }
+
+    /// The state after linearizing op `j` (not yet linearized), leaving
+    /// the register at `reg`.
+    fn take(&self, j: usize, reg: u64) -> Frontier {
+        if j > self.first {
+            let b = j - self.first - 1;
+            let mut window = self.window.clone();
+            if window.len() <= b / 64 {
+                window.resize(b / 64 + 1, 0);
+            }
+            window[b / 64] |= 1u64 << (b % 64);
+            return Frontier {
+                first: self.first,
+                reg,
+                window,
+            };
+        }
+        // Taking the first op advances the frontier past the run of
+        // linearized ops right behind it.
+        let mut run = 0;
+        for &word in &self.window {
+            let ones = word.trailing_ones() as usize;
+            run += ones;
+            if ones < 64 {
+                break;
+            }
+        }
+        let shift = run + 1;
+        let (words, bits) = (shift / 64, shift % 64);
+        let mut window: Vec<u64> = (words..self.window.len())
+            .map(|k| {
+                let lo = self.window[k] >> bits;
+                let hi = match self.window.get(k + 1) {
+                    Some(&next) if bits != 0 => next << (64 - bits),
+                    _ => 0,
+                };
+                lo | hi
+            })
+            .collect();
+        while window.last() == Some(&0) {
+            window.pop();
+        }
+        Frontier {
+            first: self.first + shift,
+            reg,
+            window,
+        }
+    }
+}
+
+/// Per-key checking with scratch buffers reused across keys: the screens
+/// and the search's op list allocate once per check, not once per key.
+#[derive(Debug, Default)]
+struct KeyChecker {
+    writes: Vec<WriteOp>,
+    reads: Vec<ReadOp>,
+    /// Per-value facts, sorted by value.
+    facts: Vec<ValueFacts>,
+    /// Read indices by invocation and by completion.
+    by_inv: Vec<usize>,
+    by_resp: Vec<usize>,
+    /// Acked writes as (their value's first success reply, invocation,
+    /// value), by that reply.
+    acked: Vec<(SimTime, SimTime, u64)>,
+    /// Per read: the provenance/freshness verdict, and the earlier
+    /// read's value a non-monotone read regressed from.
+    fresh: Vec<Option<Screen>>,
+    mono: Vec<Option<u64>>,
+    /// Values the reads observed, sorted.
+    observed: Vec<u64>,
+    ops: Vec<SearchOp>,
+}
+
+/// Why a read failed the provenance/freshness screen.
+#[derive(Debug, Clone, Copy)]
+enum Screen {
+    Phantom,
+    /// Stale, with the value of a write acked before the read began.
+    Stale(u64),
+}
+
+/// The facts for `value`, from a table sorted by value.
+fn facts_of(facts: &[ValueFacts], value: u64) -> Option<ValueFacts> {
+    facts
+        .binary_search_by_key(&value, |f| f.value)
+        .ok()
+        .and_then(|i| facts.get(i).copied())
+}
+
+impl KeyChecker {
+    /// Check one key's records (in record order), appending violations.
+    fn check(&mut self, key: &str, recs: &[&OpRecord], out: &mut Vec<Violation>) {
+        self.writes.clear();
+        self.reads.clear();
+        for op in recs.iter().filter(|op| !op.aborted) {
+            match op.kind {
+                OpKind::Write => self.writes.push(WriteOp {
+                    inv: op.invoked,
+                    done: if op.ok { op.completed } else { None },
+                    value: op.seq,
+                }),
+                OpKind::Read => {
+                    if let Some(resp) = op.completed.filter(|_| op.ok) {
+                        self.reads.push(ReadOp {
                             inv: op.invoked,
-                            resp: t,
-                            is_write: false,
+                            resp,
                             value: op.seq,
-                            required: true,
                         });
                     }
                 }
             }
         }
+        // Writes alone always linearize: any real-time-respecting order
+        // of them is a witness.
+        if self.reads.is_empty() {
+            return;
+        }
+        let before = out.len();
+        self.screens(key, out);
+        // Definite counterexamples with legible messages skip the
+        // search for an already-rejected key.
+        if out.len() == before {
+            if let Some(v) = self.search(key) {
+                out.push(v);
+            }
+        }
     }
-    out
-}
 
-#[inline]
-fn bit_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1u64 << (i % 64)) != 0
-}
+    /// Register-semantics screens, each a sweep over sorted ops. Every
+    /// condition is implied by linearizability (given unique per-key
+    /// write values and no deletions — both guaranteed by the recording
+    /// paths), so a hit is a definite counterexample with a legible
+    /// message: `phantom read`, `stale read` or `non-monotone`.
+    fn screens(&mut self, key: &str, out: &mut Vec<Violation>) {
+        self.facts.clear();
+        self.facts.extend(self.writes.iter().map(|w| ValueFacts {
+            value: w.value,
+            inv: w.inv,
+            done: w.done,
+        }));
+        self.facts.sort_unstable_by_key(|f| f.value);
+        self.facts.dedup_by(|later, kept| {
+            if later.value != kept.value {
+                return false;
+            }
+            kept.inv = kept.inv.min(later.inv);
+            kept.done = match (kept.done, later.done) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            true
+        });
+        let reads = &self.reads;
+        self.by_inv.clear();
+        self.by_inv.extend(0..reads.len());
+        self.by_inv.sort_by_key(|&i| reads[i].inv);
+        self.by_resp.clear();
+        self.by_resp.extend(0..reads.len());
+        self.by_resp.sort_by_key(|&i| reads[i].resp);
+        self.acked.clear();
+        for w in &self.writes {
+            if let Some(done) = facts_of(&self.facts, w.value)
+                .and_then(|f| f.done)
+                .filter(|_| w.done.is_some())
+            {
+                self.acked.push((done, w.inv, w.value));
+            }
+        }
+        self.acked.sort_unstable();
+        self.fresh.clear();
+        self.fresh.resize(reads.len(), None);
+        self.mono.clear();
+        self.mono.resize(reads.len(), None);
 
-#[inline]
-fn bit_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
+        // One pass over reads by invocation, feeding two running maxima:
+        // * freshness — acked writes whose value's first reply landed
+        //   before the read began, keyed by write invocation;
+        // * monotonicity — reads that completed before it began, keyed by
+        //   the invocation of the write they observed.
+        let (mut acked_at, mut acked_top) = (0, TopTwo::default());
+        let (mut prior_at, mut prior_top, mut prior_nonzero) = (0, TopTwo::default(), None);
+        for &i in &self.by_inv {
+            let r = self.reads[i];
+            while let Some(&(_, inv, value)) = self.acked.get(acked_at).filter(|a| a.0 < r.inv) {
+                acked_top.insert(inv, value);
+                acked_at += 1;
+            }
+            while let Some(p) = self
+                .by_resp
+                .get(prior_at)
+                .map(|&j| self.reads[j])
+                .filter(|p| p.resp < r.inv)
+            {
+                let written = facts_of(&self.facts, p.value).map_or(SimTime::ZERO, |f| f.inv);
+                prior_top.insert(written, p.value);
+                if p.value != 0 && prior_nonzero.is_none() {
+                    prior_nonzero = Some(p.value);
+                }
+                prior_at += 1;
+            }
+            let facts = facts_of(&self.facts, r.value);
+            let own_done = facts.and_then(|f| f.done);
+            // Provenance: the value must come from a write that was not
+            // invoked after the read completed.
+            self.fresh[i] = if r.value != 0 && facts.is_none_or(|f| f.inv > r.resp) {
+                Some(Screen::Phantom)
+            } else if r.value == 0 {
+                // Any acked write completed before the read began.
+                acked_top.first.map(|(_, v)| Screen::Stale(v))
+            } else {
+                // Freshness: a write w acked before the read began, whose
+                // invocation followed the reply of the read's own write,
+                // overwrote that value for good (the register never
+                // reverts).
+                own_done.and_then(|d| {
+                    acked_top
+                        .latest_other_than(r.value)
+                        .filter(|&(w_inv, _)| d < w_inv)
+                        .map(|(_, v)| Screen::Stale(v))
+                })
+            };
+            // Monotonicity: an earlier read observed a value whose write
+            // began after this read's write was acked (or this read sees
+            // nothing after an earlier read saw something).
+            self.mono[i] = if r.value == 0 {
+                prior_nonzero
+            } else {
+                own_done.and_then(|d| {
+                    prior_top
+                        .latest_other_than(r.value)
+                        .filter(|&(w_inv, _)| d < w_inv)
+                        .map(|(_, v)| v)
+                })
+            };
+        }
 
-/// Cheap register-semantics screens run before the exhaustive search.
-/// Every condition here is implied by linearizability (given unique
-/// per-key write values and no deletions — both guaranteed by the
-/// recording paths), so a hit is a definite counterexample with a
-/// legible message: `stale read`, `phantom read` or `non-monotone`.
-fn quick_register_checks(key: &str, recs: &[&OpRecord]) -> Vec<Violation> {
-    let writes: Vec<&OpRecord> = recs
-        .iter()
-        .copied()
-        .filter(|o| o.kind == OpKind::Write && !o.aborted)
-        .collect();
-    let reads: Vec<&OpRecord> = recs
-        .iter()
-        .copied()
-        .filter(|o| o.kind == OpKind::Read && o.ok && o.completed.is_some() && !o.aborted)
-        .collect();
-    // value → (invoked, completed-if-ok) for O(log) precedence lookups.
-    let mut wmap: BTreeMap<u64, (SimTime, Option<SimTime>)> = BTreeMap::new();
-    for w in &writes {
-        let done = if w.ok { w.completed } else { None };
-        wmap.entry(w.seq)
-            .and_modify(|e| {
-                e.0 = e.0.min(w.invoked);
-                e.1 = match (e.1, done) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            })
-            .or_insert((w.invoked, done));
-    }
-    // `a` strictly precedes instant `t` when its success reply landed
-    // before `t`.
-    let done_before = |v: u64, t: SimTime| {
-        wmap.get(&v)
-            .and_then(|&(_, done)| done)
-            .is_some_and(|d| d < t)
-    };
-    let mut out = Vec::new();
-    for r in &reads {
-        let r_done = r.completed.unwrap_or(SimTime::MAX);
-        // 1. Provenance: the observed value must come from a write that
-        //    was invoked before the read completed.
-        if r.seq != 0 && wmap.get(&r.seq).is_none_or(|&(inv, _)| inv >= r_done) {
+        for (r, flag) in self.reads.iter().zip(&self.fresh) {
+            let detail = match flag {
+                None => continue,
+                Some(Screen::Phantom) => format!(
+                    "phantom read: observed {} at {:?} which no write before it produced",
+                    r.value, r.resp
+                ),
+                Some(Screen::Stale(w)) => format!(
+                    "stale read: observed {} at {:?} but write {w} completed before {:?}",
+                    r.value, r.resp, r.inv
+                ),
+            };
             out.push(Violation {
                 key: key.to_string(),
-                detail: format!(
-                    "phantom read: observed {} at {:?} which no write before it produced",
-                    r.seq, r_done
-                ),
+                detail,
             });
-            continue;
         }
-        // 2. Freshness: if some write w_new completed successfully
-        //    strictly before the read was invoked, the read may not
-        //    observe nothing, nor a value whose write strictly preceded
-        //    w_new (the register never reverts).
-        for w_new in writes.iter().filter(|w| w.ok && done_before(w.seq, r.invoked)) {
-            let stale = if r.seq == 0 {
-                true
-            } else {
-                r.seq != w_new.seq && done_before(r.seq, w_new.invoked)
-            };
-            if stale {
+        for (r, first) in self.reads.iter().zip(&self.mono) {
+            if let Some(first) = first {
                 out.push(Violation {
+                    key: key.to_string(),
+                    detail: format!("non-monotone reads: {first} then {}", r.value),
+                });
+            }
+        }
+    }
+
+    /// Exhaustive search over the frontier states. Returns `None` when a
+    /// valid linearization exists, or one violation describing why not
+    /// (or that the budget ran out — a failure, never a silent pass).
+    fn search(&mut self, key: &str) -> Option<Violation> {
+        // A maybe-applied write whose value no read observed can always
+        // be left out of a linearization: no read can sit between it and
+        // the next write. Dropping it up front keeps it from multiplying
+        // the states of every step after its invocation.
+        self.observed.clear();
+        self.observed.extend(self.reads.iter().map(|r| r.value));
+        self.observed.sort_unstable();
+        self.ops.clear();
+        for w in &self.writes {
+            match w.done {
+                Some(resp) => self.ops.push(SearchOp {
+                    inv: w.inv,
+                    resp,
+                    is_write: true,
+                    value: w.value,
+                    required: true,
+                }),
+                None if self.observed.binary_search(&w.value).is_ok() => self.ops.push(SearchOp {
+                    inv: w.inv,
+                    resp: SimTime::MAX,
+                    is_write: true,
+                    value: w.value,
+                    required: false,
+                }),
+                None => {}
+            }
+        }
+        self.ops.extend(self.reads.iter().map(|r| SearchOp {
+            inv: r.inv,
+            resp: r.resp,
+            is_write: false,
+            value: r.value,
+            required: true,
+        }));
+        self.ops.sort_by_key(|o| o.inv);
+        let ops = &self.ops;
+        let n = ops.len();
+        let req_total = ops.iter().filter(|o| o.required).count();
+
+        let mut visited: BTreeSet<Frontier> = BTreeSet::new();
+        let root = Frontier {
+            first: 0,
+            reg: 0,
+            window: Vec::new(),
+        };
+        visited.insert(root.clone());
+        // States carry how many required ops they have linearized.
+        let mut stack = vec![(root, 0usize)];
+        let mut best_done = 0usize;
+        let mut best_gap: Option<(usize, u64)> = None;
+        let mut cands: Vec<usize> = Vec::new();
+        while let Some((st, done_req)) = stack.pop() {
+            if visited.len() > SEARCH_BUDGET {
+                return Some(Violation {
                     key: key.to_string(),
                     detail: format!(
-                        "stale read: observed {} at {:?} but write {} completed before {:?}",
-                        r.seq, r_done, w_new.seq, r.invoked
+                        "search budget exceeded: {} states over {n} ops without a verdict — treating as a failure",
+                        visited.len()
                     ),
                 });
-                break;
             }
-        }
-    }
-    // 3. Monotonicity across non-overlapping reads: the later read never
-    //    observes a strictly older value than the earlier.
-    for (i, r1) in reads.iter().enumerate() {
-        let r1_done = r1.completed.unwrap_or(SimTime::MAX);
-        for r2 in &reads[i + 1..] {
-            let r2_done = r2.completed.unwrap_or(SimTime::MAX);
-            let (first, second) = if r1_done < r2.invoked {
-                (r1, r2)
-            } else if r2_done < r1.invoked {
-                (r2, r1)
-            } else {
-                continue; // overlapping — either order is legal
-            };
-            if first.seq == second.seq {
-                continue;
+            if done_req == req_total {
+                return None; // all required ops linearized — witness found
             }
-            let regress = (second.seq == 0 && first.seq != 0)
-                || (second.seq != 0 && done_before(second.seq, wmap.get(&first.seq).map_or(SimTime::ZERO, |e| e.0)));
-            if regress {
-                out.push(Violation {
-                    key: key.to_string(),
-                    detail: format!("non-monotone reads: {} then {}", first.seq, second.seq),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Exhaustive per-key search. Returns `None` when a valid linearization
-/// exists, or one violation describing why not (or that the budget ran
-/// out — treated as a failure, never a silent pass).
-fn search_key(key: &str, recs: &[&OpRecord]) -> Option<Violation> {
-    let ops = classify(recs);
-    let n = ops.len();
-    if n == 0 {
-        return None;
-    }
-    let req_total = ops.iter().filter(|o| o.required).count();
-    if req_total == 0 {
-        return None; // only maybe-applied writes: trivially fine
-    }
-    let words = n.div_ceil(64);
-    let mut visited: std::collections::BTreeSet<(Vec<u64>, u64)> = std::collections::BTreeSet::new();
-    let mut stack: Vec<(Vec<u64>, u64)> = Vec::new();
-    let init = (vec![0u64; words], 0u64);
-    visited.insert(init.clone());
-    stack.push(init);
-    let mut best_done = 0usize;
-    let mut best_note = String::new();
-    while let Some((done, reg)) = stack.pop() {
-        if visited.len() > SEARCH_BUDGET {
-            return Some(Violation {
-                key: key.to_string(),
-                detail: format!(
-                    "search budget exceeded: {} states over {n} ops without a verdict — treating as a failure",
-                    visited.len()
-                ),
+            // An op may be linearized next iff no *required* unlinearized
+            // op responded strictly before its invocation. Ops are sorted
+            // by invocation and a response never precedes its own
+            // invocation, so the scan stops at the first op invoked after
+            // the earliest pending required response.
+            cands.clear();
+            let mut min_resp = SimTime::MAX;
+            let mut first_req = None;
+            st.for_each_undone(n, |j| {
+                let o = &ops[j];
+                if o.inv > min_resp {
+                    return false;
+                }
+                if o.required {
+                    min_resp = min_resp.min(o.resp);
+                    first_req.get_or_insert(j);
+                }
+                cands.push(j);
+                true
             });
-        }
-        let done_req = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, o)| o.required && bit_get(&done, *i))
-            .count();
-        if done_req == req_total {
-            return None; // all required ops linearized — witness found
-        }
-        if done_req >= best_done {
-            best_done = done_req;
-            if let Some((_, o)) = ops
-                .iter()
-                .enumerate()
-                .filter(|(i, o)| o.required && !bit_get(&done, *i))
-                .min_by_key(|(_, o)| o.inv)
-            {
-                let kind = if o.is_write { "write" } else { "read" };
-                best_note = format!(
-                    "first unplaced op: {kind} of {} invoked at {:?} (register held {reg})",
-                    o.value, o.inv
-                );
+            if done_req >= best_done {
+                best_done = done_req;
+                best_gap = first_req.map(|j| (j, st.reg));
             }
-        }
-        // An op may be linearized next iff no *required* unlinearized op
-        // responded strictly before its invocation.
-        let min_resp = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, o)| o.required && !bit_get(&done, *i))
-            .map(|(_, o)| o.resp)
-            .min()
-            .unwrap_or(SimTime::MAX);
-        for (i, o) in ops.iter().enumerate() {
-            if bit_get(&done, i) || o.inv > min_resp {
+            let mut push = |j: usize, reg: u64| {
+                let next = st.take(j, reg);
+                if !visited.contains(&next) {
+                    visited.insert(next.clone());
+                    stack.push((next, done_req + usize::from(ops[j].required)));
+                }
+            };
+            // A read that can go next and matches the register goes next:
+            // it changes nothing, so any witness from here has one that
+            // starts with it. No branching needed.
+            if let Some(&j) = cands
+                .iter()
+                .find(|&&j| !ops[j].is_write && ops[j].value == st.reg)
+            {
+                push(j, st.reg);
                 continue;
             }
-            if !o.is_write && o.value != reg {
-                continue; // a read must observe the current register
+            // Otherwise branch on writes: required ones first, earliest
+            // invocation first (the stack pops the last push first).
+            for &j in cands
+                .iter()
+                .rev()
+                .filter(|&&j| ops[j].is_write && !ops[j].required)
+            {
+                push(j, ops[j].value);
             }
-            let mut nd = done.clone();
-            bit_set(&mut nd, i);
-            let nreg = if o.is_write { o.value } else { reg };
-            let st = (nd, nreg);
-            if visited.insert(st.clone()) {
-                stack.push(st);
+            for &j in cands
+                .iter()
+                .rev()
+                .filter(|&&j| ops[j].is_write && ops[j].required)
+            {
+                push(j, ops[j].value);
             }
         }
+        let note = best_gap.map_or_else(String::new, |(j, reg)| {
+            let o = &ops[j];
+            let kind = if o.is_write { "write" } else { "read" };
+            format!(
+                "first unplaced op: {kind} of {} invoked at {:?} (register held {reg})",
+                o.value, o.inv
+            )
+        });
+        Some(Violation {
+            key: key.to_string(),
+            detail: format!(
+                "not linearizable: no valid order for {req_total} required ops (best schedule placed {best_done}; {note})"
+            ),
+        })
     }
-    Some(Violation {
-        key: key.to_string(),
-        detail: format!(
-            "not linearizable: no valid order for {req_total} required ops (best schedule placed {best_done}; {best_note})"
-        ),
-    })
 }
 
 /// Full multi-writer linearizability check against atomic-register
@@ -502,21 +806,14 @@ fn search_key(key: &str, recs: &[&OpRecord]) -> Option<Violation> {
 /// increasing per-writer sequences; bench recording stamps values with
 /// `client-id ≪ 40 | counter`).
 pub fn check_linearizable(history: &History) -> Vec<Violation> {
-    let mut by_key: BTreeMap<&str, Vec<&OpRecord>> = BTreeMap::new();
-    for op in &history.ops {
-        by_key.entry(op.key.as_str()).or_default().push(op);
-    }
+    // Group by key with one stable sort (record order within a key).
+    let mut recs: Vec<&OpRecord> = history.ops.iter().collect();
+    recs.sort_by(|a, b| a.key.cmp(&b.key));
+    let mut checker = KeyChecker::default();
     let mut violations = Vec::new();
-    for (key, recs) in by_key {
-        let quick = quick_register_checks(key, &recs);
-        if !quick.is_empty() {
-            // Definite counterexamples with legible messages; skip the
-            // expensive search for an already-rejected key.
-            violations.extend(quick);
-            continue;
-        }
-        if let Some(v) = search_key(key, &recs) {
-            violations.push(v);
+    for key_recs in recs.chunk_by(|a, b| a.key == b.key) {
+        if let Some(first) = key_recs.first() {
+            checker.check(&first.key, key_recs, &mut violations);
         }
     }
     violations
@@ -1465,6 +1762,276 @@ mod tests {
             ],
         };
         assert!(check_linearizable_upto(&h2, t(50)).is_empty());
+    }
+
+    #[test]
+    fn non_monotone_reports_each_regressed_read_once() {
+        // Two reads observe the maybe-applied write 2, then a later read
+        // falls back to 1: one offending later read, one violation (not
+        // one per earlier read).
+        let h = History {
+            ops: vec![
+                write("k", 1, 0, 10),
+                OpRecord {
+                    completed: None,
+                    ok: false,
+                    ..write("k", 2, 15, 0)
+                },
+                read("k", 2, 20, 30),
+                read("k", 2, 32, 38),
+                read("k", 1, 40, 50),
+            ],
+        };
+        for v in [check_linearizable(&h), check_single_writer(&h)] {
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert_eq!(v[0].detail, "non-monotone reads: 2 then 1", "{v:?}");
+        }
+    }
+
+    #[test]
+    fn reads_of_nothing_after_a_value_are_flagged_by_the_screens() {
+        // Missing an acked write is a stale read...
+        let h = History {
+            ops: vec![write("k", 1, 0, 10), read("k", 0, 20, 30)],
+        };
+        let v = check_linearizable(&h);
+        assert_eq!(stale_reads(&v), 1, "{v:?}");
+        // ...and seeing nothing after an earlier read saw a value is a
+        // regression, even when the write is still unacknowledged.
+        let h = History {
+            ops: vec![
+                OpRecord {
+                    completed: None,
+                    ok: false,
+                    ..write("k", 1, 0, 0)
+                },
+                read("k", 1, 20, 30),
+                read("k", 0, 40, 50),
+            ],
+        };
+        let v = check_linearizable(&h);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].detail, "non-monotone reads: 1 then 0", "{v:?}");
+    }
+
+    #[test]
+    fn unobserved_maybe_applied_writes_are_dropped_before_the_search() {
+        // A sequential write/read history in which every other write lost
+        // its reply and no read ever observed it. Kept as candidates,
+        // those writes multiply the states of every later step past the
+        // budget; dropped (no read sits between one and the next write),
+        // the history checks in linear time.
+        let mut ops = Vec::new();
+        let (mut now, mut last) = (0, 0);
+        for v in 1..=1_000u64 {
+            if v % 2 == 0 {
+                ops.push(OpRecord {
+                    completed: None,
+                    ok: false,
+                    ..write("k", v, now, 0)
+                });
+            } else {
+                ops.push(write("k", v, now, now + 5));
+                last = v;
+            }
+            ops.push(read("k", last, now + 10, now + 15));
+            now += 20;
+        }
+        let v = check_linearizable(&History { ops });
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn search_budget_exhaustion_is_a_failure() {
+        // 24 mutually concurrent writes, then reads of 1, 2, 1: no order
+        // of the writes explains them, and proving that means exploring
+        // far more subsets than the budget allows. The verdict must be a
+        // loud failure, never a pass.
+        let mut ops: Vec<OpRecord> = (1..=24).map(|v| write("k", v, 0, 100)).collect();
+        ops.extend([
+            read("k", 1, 110, 120),
+            read("k", 2, 130, 140),
+            read("k", 1, 150, 160),
+        ]);
+        let v = check_linearizable(&History { ops });
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.starts_with("search budget exceeded"), "{v:?}");
+    }
+
+    // -- differential oracle -----------------------------------------------
+
+    /// One op of the brute-force oracle.
+    struct OracleOp {
+        inv: SimTime,
+        /// `None` = maybe-applied write (no real-time upper bound).
+        resp: Option<SimTime>,
+        write: bool,
+        value: u64,
+    }
+
+    /// Brute-force linearizability of a single-key history, straight from
+    /// the definition: some subset of the maybe-applied writes, together
+    /// with every required op, has an order that respects real time (`a`
+    /// before `b` whenever `a` responded before `b` was invoked) and
+    /// register semantics (a read observes the latest write, 0 before
+    /// any). Required: successful writes and reads. Maybe-applied: every
+    /// other write, with an open window — an error reply is no proof the
+    /// write did not land. Ignored: aborted ops and reads without a
+    /// successful reply.
+    fn oracle_linearizable(h: &History) -> bool {
+        let mut required = Vec::new();
+        let mut optional = Vec::new();
+        for o in h.ops.iter().filter(|o| !o.aborted) {
+            let op = OracleOp {
+                inv: o.invoked,
+                resp: o.completed.filter(|_| o.ok),
+                write: o.kind == OpKind::Write,
+                value: o.seq,
+            };
+            match (op.write, op.resp) {
+                (true, None) => optional.push(op),
+                (_, Some(_)) => required.push(op),
+                (false, None) => {}
+            }
+        }
+        (0..1u32 << optional.len()).any(|mask| {
+            let ops: Vec<&OracleOp> = required
+                .iter()
+                .chain(
+                    optional
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask >> i & 1 == 1)
+                        .map(|(_, o)| o),
+                )
+                .collect();
+            let mut placed = vec![false; ops.len()];
+            oracle_extend(&ops, &mut placed, 0, 0)
+        })
+    }
+
+    /// Try every op that may come next after the `count` placed ones.
+    fn oracle_extend(ops: &[&OracleOp], placed: &mut [bool], count: usize, reg: u64) -> bool {
+        if count == ops.len() {
+            return true;
+        }
+        for i in 0..ops.len() {
+            let o = ops[i];
+            let must_wait = (0..ops.len())
+                .any(|j| j != i && !placed[j] && ops[j].resp.is_some_and(|r| r < o.inv));
+            if placed[i] || must_wait || (!o.write && o.value != reg) {
+                continue;
+            }
+            placed[i] = true;
+            let found = oracle_extend(ops, placed, count + 1, if o.write { o.value } else { reg });
+            placed[i] = false;
+            if found {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Lay out a single-key history from drawn op shapes: each client
+    /// runs its ops back to back, every op takes effect at a point in its
+    /// window (a maybe-applied write possibly never), reads observe the
+    /// register at their point — and some reads are then corrupted, so
+    /// both verdicts occur.
+    fn drawn_history(clients: u64, shapes: &[(u64, u64, u64, u64, u64)]) -> History {
+        let mut clock = [0u64; 3];
+        let mut ops = Vec::new();
+        let mut points = Vec::new();
+        for (i, &(client, gap, dur, variant, draw)) in shapes.iter().enumerate() {
+            let c = usize::try_from(client % clients).unwrap_or(0);
+            let inv = clock[c] + gap;
+            clock[c] = inv + dur;
+            let value = (client % clients + 1) * 100 + i as u64;
+            let op = match variant {
+                0..=3 => write("k", value, inv, inv + dur),
+                4 | 5 => {
+                    // No reply (4) or an error reply (5).
+                    let mut w = write("k", value, inv, inv + dur);
+                    w.ok = false;
+                    if variant == 4 {
+                        w.completed = None;
+                    }
+                    w
+                }
+                6..=8 => read("k", 0, inv, inv + dur),
+                _ => {
+                    // A read that observed nothing: error reply, abort or
+                    // no reply at all.
+                    let mut r = read("k", 999, inv, inv + dur);
+                    r.ok = false;
+                    match draw % 3 {
+                        0 => {}
+                        1 => {
+                            r.aborted = true;
+                            r.completed = None;
+                        }
+                        _ => r.completed = None,
+                    }
+                    r
+                }
+            };
+            let point = match variant {
+                0..=3 | 6..=8 => Some(inv + draw % (dur + 1)),
+                // A maybe-applied write lands on odd draws, possibly long
+                // after its window.
+                4 | 5 if draw % 2 == 1 => Some(inv + draw),
+                _ => None,
+            };
+            if let Some(point) = point {
+                points.push((point, i));
+            }
+            ops.push(op);
+        }
+        points.sort_unstable();
+        let mut reg = 0;
+        for (_, i) in points {
+            let op = &mut ops[i];
+            match op.kind {
+                OpKind::Write => reg = op.seq,
+                OpKind::Read => op.seq = reg,
+            }
+        }
+        // Corrupt some reads: an older value, a future one, nothing, or a
+        // value nobody wrote.
+        let writes: Vec<u64> = ops
+            .iter()
+            .filter(|o| o.kind == OpKind::Write)
+            .map(|o| o.seq)
+            .collect();
+        for (i, &(_, _, _, variant, draw)) in shapes.iter().enumerate() {
+            if (6..=8).contains(&variant) && draw % 3 == 0 {
+                let pick = usize::try_from(draw / 3 + i as u64).unwrap_or(0);
+                ops[i].seq = match draw % 4 {
+                    0 | 3 => writes.get(pick % writes.len().max(1)).copied().unwrap_or(0),
+                    1 => 0,
+                    _ => 7,
+                };
+            }
+        }
+        History { ops }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn checker_agrees_with_brute_force_oracle(
+            clients in 2u64..4,
+            shapes in proptest::collection::vec((0u64..3, 0u64..5, 1u64..8, 0u64..10, 0u64..12), 1..11),
+        ) {
+            let h = drawn_history(clients, &shapes);
+            let verdict = check_linearizable(&h);
+            proptest::prop_assert_eq!(
+                verdict.is_empty(),
+                oracle_linearizable(&h),
+                "history {:?}\nverdict {:?}",
+                h.ops.iter().map(|o| (o.kind, o.seq, o.invoked.as_nanos() / 1_000, o.completed.map(|t| t.as_nanos() / 1_000), o.ok, o.aborted)).collect::<Vec<_>>(),
+                verdict
+            );
+        }
     }
 
     #[test]

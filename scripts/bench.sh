@@ -27,6 +27,7 @@ BENCHES=(
   wallclock_replmode
   wallclock_shards
   wallclock_hotcache
+  wallclock_histcheck
 )
 
 for b in "${BENCHES[@]}"; do
