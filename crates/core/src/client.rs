@@ -5,6 +5,10 @@
 //! wait for the reply, record the latency, send the next. Throughput at a
 //! given concurrency level therefore emerges from server service times and
 //! round-trip latency exactly as it does for the paper's load generator.
+//! With `ClusterConfig::read_replica` set, a client opens a second
+//! connection to that slave and sends its GETs there.
+
+use std::collections::VecDeque;
 
 use skv_netsim::{CqId, Net, NetEvent, NodeId, SocketAddr};
 use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime};
@@ -273,32 +277,61 @@ enum ClientMsg {
     Watchdog,
 }
 
+/// One connection of a client's session.
+struct Conn {
+    addr: SocketAddr,
+    channel: Option<Channel>,
+    /// A dial to `addr` is outstanding. With a replica connection,
+    /// `Start` skips it, so the redial timers of the two connections'
+    /// failed dials do not dial one connection twice.
+    dialing: bool,
+    /// FIFO of (send instant, is_write) for commands awaiting replies on
+    /// this connection; replies are matched to it in order.
+    in_flight: VecDeque<(SimTime, bool)>,
+    /// History op indices per in-flight command, parallel to
+    /// `in_flight` (one index per key an MSET touches; untouched unless
+    /// recording).
+    rec_in_flight: VecDeque<Vec<usize>>,
+}
+
+impl Conn {
+    fn new(addr: SocketAddr) -> Self {
+        Conn {
+            addr,
+            channel: None,
+            dialing: false,
+            in_flight: VecDeque::new(),
+            rec_in_flight: VecDeque::new(),
+        }
+    }
+}
+
 /// A benchmark client actor.
+///
+/// Its connections form one session: the front end (index 0) carries
+/// every write, and GETs go to the last connection — the front end
+/// itself unless [`BenchClient::read_from`] added a replica. Commands
+/// are issued only while every connection is up, and a timeout or break
+/// on any of them reconnects them all, so one watchdog and one
+/// read-abort path cover the session.
 pub struct BenchClient {
     net: Net,
     cfg: ClusterConfig,
     node: NodeId,
-    server: SocketAddr,
+    conns: Vec<Conn>,
     workload: Workload,
     metrics: SharedMetrics,
     cq: Option<CqId>,
-    channel: Option<Channel>,
     /// Command generator; rebuilt in `on_start` around a split of the
     /// simulation RNG (placeholder seed until then), so no unwrap on
     /// the issue path.
     gen: WorkloadGen,
-    /// FIFO of (send instant, is_write) for commands awaiting replies.
-    in_flight: std::collections::VecDeque<(SimTime, bool)>,
     /// Stable id for history stamps (set by [`BenchClient::record_into`]).
     client_id: usize,
     /// When recording, the shared history sink every op lands in.
     history: Option<SharedHistory>,
     /// Monotone per-client stamp counter (recording only).
     stamp_counter: u64,
-    /// History op indices per in-flight command, parallel to
-    /// `in_flight` (one index per key an MSET touches; empty vec and
-    /// untouched unless recording).
-    rec_in_flight: std::collections::VecDeque<Vec<usize>>,
     /// Consecutive failed dials since the last established connection;
     /// drives the capped exponential redial backoff
     /// (`ClusterConfig::client_dial_delay`).
@@ -330,17 +363,14 @@ impl BenchClient {
             net,
             cfg,
             node,
-            server,
+            conns: vec![Conn::new(server)],
             workload,
             metrics,
             cq: None,
-            channel: None,
             gen,
-            in_flight: Default::default(),
             client_id: 0,
             history: None,
             stamp_counter: 0,
-            rec_in_flight: Default::default(),
             dial_attempts: 0,
             stat_issued: 0,
             stat_replies: 0,
@@ -357,15 +387,58 @@ impl BenchClient {
         self.history = Some(history);
     }
 
-    /// Abandon the current connection (commands in flight are lost, like a
+    /// Send this client's GETs to `replica` over a second connection;
+    /// writes stay on the front end (see `ClusterConfig::read_replica`).
+    pub fn read_from(&mut self, replica: SocketAddr) {
+        self.conns.push(Conn::new(replica));
+    }
+
+    /// Commands awaiting replies, over every connection.
+    fn in_flight(&self) -> usize {
+        self.conns.iter().map(|c| c.in_flight.len()).sum()
+    }
+
+    /// Dial every connection that is not up. A session with a replica
+    /// connection also skips one already being dialed; a lone front-end
+    /// connection redials on every `Start`, as it always has.
+    fn dial(&mut self, ctx: &mut Context<'_>) {
+        let me = ctx.id();
+        let session = self.conns.len() > 1;
+        for conn in &mut self.conns {
+            if conn.channel.is_some() || (session && conn.dialing) {
+                continue;
+            }
+            conn.dialing = true;
+            if self.cfg.mode.uses_rdma() {
+                // Reuse the CQ across reconnects and connections.
+                let cq = match self.cq {
+                    Some(cq) => cq,
+                    None => {
+                        let cq = self.net.create_cq(me);
+                        self.cq = Some(cq);
+                        self.net.req_notify_cq(ctx, cq);
+                        cq
+                    }
+                };
+                self.net.rdma_connect(ctx, self.node, me, cq, conn.addr);
+            } else {
+                self.net.tcp_connect(ctx, self.node, me, conn.addr);
+            }
+        }
+    }
+
+    /// Abandon every connection (commands in flight are lost, like a
     /// real client timing out) and dial again.
     fn reconnect(&mut self, ctx: &mut Context<'_>) {
-        if let Some(ch) = self.channel.take() {
-            if let Some(qp) = ch.qp() {
-                self.net.destroy_qp(qp);
-            }
-            if let Some(conn) = ch.tcp_conn() {
-                self.net.tcp_close(ctx, conn);
+        for conn in &mut self.conns {
+            conn.dialing = false;
+            if let Some(ch) = conn.channel.take() {
+                if let Some(qp) = ch.qp() {
+                    self.net.destroy_qp(qp);
+                }
+                if let Some(tcp) = ch.tcp_conn() {
+                    self.net.tcp_close(ctx, tcp);
+                }
             }
         }
         if let Some(h) = &self.history {
@@ -373,17 +446,21 @@ impl BenchClient {
             // explicit aborts so the checker drops them. Writes stay
             // open: they may have applied before the channel died.
             let mut h = h.borrow_mut();
-            for idxs in self.rec_in_flight.drain(..) {
-                for idx in idxs {
-                    if let Some(op) = h.ops.get_mut(idx) {
-                        if op.kind == OpKind::Read {
-                            op.aborted = true;
+            for conn in &mut self.conns {
+                for idxs in conn.rec_in_flight.drain(..) {
+                    for idx in idxs {
+                        if let Some(op) = h.ops.get_mut(idx) {
+                            if op.kind == OpKind::Read {
+                                op.aborted = true;
+                            }
                         }
                     }
                 }
             }
         }
-        self.in_flight.clear();
+        for conn in &mut self.conns {
+            conn.in_flight.clear();
+        }
         self.stat_reconnects += 1;
         self.metrics.borrow_mut().chaos.inc("client.reconnects");
         ctx.timer(SimDuration::from_millis(1), ClientMsg::Start);
@@ -393,62 +470,67 @@ impl BenchClient {
         if ctx.now() >= self.workload.stop_at {
             return;
         }
-        let Some(channel) = self.channel.as_mut() else {
+        if self.conns.iter().any(|c| c.channel.is_none()) {
             return;
-        };
-        let (cmd, is_write) = if let Some(history) = &self.history {
+        }
+        let (cmd, is_write, rec) = if let Some(history) = &self.history {
             self.stamp_counter += 1;
             let stamp = history_stamp(self.client_id, self.stamp_counter);
             let (cmd, is_write, keys) = self.gen.next_command_stamped(Some(stamp));
             let now = ctx.now();
             let mut idxs = Vec::with_capacity(keys.len());
-            {
-                let mut h = history.borrow_mut();
-                for key in keys {
-                    h.ops.push(OpRecord {
-                        key,
-                        kind: if is_write { OpKind::Write } else { OpKind::Read },
-                        seq: if is_write { stamp } else { 0 },
-                        invoked: now,
-                        completed: None,
-                        ok: false,
-                        aborted: false,
-                        read_set: Vec::new(),
-                    });
-                    idxs.push(h.ops.len() - 1);
-                }
+            let mut h = history.borrow_mut();
+            for key in keys {
+                h.ops.push(OpRecord {
+                    key,
+                    kind: if is_write { OpKind::Write } else { OpKind::Read },
+                    seq: if is_write { stamp } else { 0 },
+                    invoked: now,
+                    completed: None,
+                    ok: false,
+                    aborted: false,
+                });
+                idxs.push(h.ops.len() - 1);
             }
-            self.rec_in_flight.push_back(idxs);
-            (cmd, is_write)
+            (cmd, is_write, Some(idxs))
         } else {
-            self.gen.next_command()
+            let (cmd, is_write) = self.gen.next_command();
+            (cmd, is_write, None)
         };
-        self.in_flight.push_back((ctx.now(), is_write));
+        let route = if is_write { 0 } else { self.conns.len() - 1 };
+        let conn = &mut self.conns[route];
+        if let Some(idxs) = rec {
+            conn.rec_in_flight.push_back(idxs);
+        }
+        conn.in_flight.push_back((ctx.now(), is_write));
         self.stat_issued += 1;
-        let net = self.net.clone();
-        channel.send(&net, ctx, tag::CMD, cmd.encode());
+        if let Some(channel) = conn.channel.as_mut() {
+            channel.send(&self.net, ctx, tag::CMD, cmd.encode());
+        }
     }
 
     /// Fill the pipeline up to its configured depth.
     fn fill_pipeline(&mut self, ctx: &mut Context<'_>) {
-        while self.in_flight.len() < self.workload.pipeline.max(1) {
-            let before = self.in_flight.len();
+        while self.in_flight() < self.workload.pipeline.max(1) {
+            let before = self.in_flight();
             self.issue(ctx);
-            if self.in_flight.len() == before {
+            if self.in_flight() == before {
                 break; // stopped issuing (deadline passed / not connected)
             }
         }
     }
 
-    fn on_reply(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
+    /// A reply arrived on connection `route`.
+    fn on_reply(&mut self, ctx: &mut Context<'_>, route: usize, payload: &[u8]) {
         self.stat_replies += 1;
-        let Some((sent_at, is_write)) = self.in_flight.pop_front() else {
+        let conn = &mut self.conns[route];
+        let Some((sent_at, is_write)) = conn.in_flight.pop_front() else {
             return;
         };
         let latency = ctx.now().saturating_since(sent_at);
         let is_error = payload.first() == Some(&b'-');
         if let Some(h) = &self.history {
-            if let Some(idxs) = self.rec_in_flight.pop_front() {
+            if let Some(idxs) = conn.rec_in_flight.pop_front() {
                 // One reply closes every record the command opened
                 // (MSET: one per key, sharing the stamp). Replies served
                 // by the NIC cache or relayed off FWD_CMD cookies arrive
@@ -468,7 +550,6 @@ impl BenchClient {
                                 if let Some(v) = observed {
                                     op.ok = true;
                                     op.seq = v;
-                                    op.read_set = vec![self.server];
                                 }
                                 // Unparseable replies observe nothing:
                                 // the record completes with ok = false
@@ -485,6 +566,29 @@ impl BenchClient {
         // Closed loop: think for the client-side overhead, then refill.
         ctx.timer(self.cfg.costs.client_op, ClientMsg::IssueNext);
     }
+
+    /// The live channel `is_it` picks, with its connection's index. A
+    /// lone front-end connection takes every completion and delivery
+    /// without matching, as it always has.
+    fn channel_where(&mut self, is_it: impl Fn(&Channel) -> bool) -> Option<(usize, &mut Channel)> {
+        let lone = self.conns.len() == 1;
+        self.conns.iter_mut().enumerate().find_map(|(i, c)| {
+            c.channel
+                .as_mut()
+                .filter(|ch| lone || is_it(ch))
+                .map(|ch| (i, ch))
+        })
+    }
+
+    /// The connection dialed to `addr` (a lone front-end connection
+    /// whatever the address), clearing its dial-in-progress mark (the
+    /// dial has resolved either way).
+    fn dialed(&mut self, addr: SocketAddr) -> Option<&mut Conn> {
+        let lone = self.conns.len() == 1;
+        let conn = self.conns.iter_mut().find(|c| lone || c.addr == addr)?;
+        conn.dialing = false;
+        Some(conn)
+    }
 }
 
 impl Actor for BenchClient {
@@ -499,39 +603,23 @@ impl Actor for BenchClient {
         let msg = match msg.downcast::<ClientMsg>() {
             Ok(m) => {
                 match *m {
-                    ClientMsg::Start => {
-                        if self.channel.is_some() {
-                            return;
-                        }
-                        let me = ctx.id();
-                        if self.cfg.mode.uses_rdma() {
-                            // Reuse the CQ across reconnects.
-                            let cq = match self.cq {
-                                Some(cq) => cq,
-                                None => {
-                                    let cq = self.net.create_cq(me);
-                                    self.cq = Some(cq);
-                                    self.net.req_notify_cq(ctx, cq);
-                                    cq
-                                }
-                            };
-                            self.net.rdma_connect(ctx, self.node, me, cq, self.server);
-                        } else {
-                            self.net.tcp_connect(ctx, self.node, me, self.server);
-                        }
-                    }
+                    ClientMsg::Start => self.dial(ctx),
                     ClientMsg::IssueNext => self.fill_pipeline(ctx),
                     ClientMsg::Watchdog => {
                         let now = ctx.now();
-                        if now >= self.workload.stop_at && self.in_flight.is_empty() {
+                        if now >= self.workload.stop_at && self.in_flight() == 0 {
                             return; // run over, timer chain ends
                         }
                         let timeout = self.cfg.client_retry_timeout;
-                        let stuck = self
-                            .in_flight
-                            .front()
-                            .is_some_and(|&(sent, _)| now.saturating_since(sent) > timeout);
-                        let broken = self.channel.as_ref().is_some_and(Channel::broken);
+                        let stuck = self.conns.iter().any(|c| {
+                            c.in_flight
+                                .front()
+                                .is_some_and(|&(sent, _)| now.saturating_since(sent) > timeout)
+                        });
+                        let broken = self
+                            .conns
+                            .iter()
+                            .any(|c| c.channel.as_ref().is_some_and(Channel::broken));
                         if stuck || broken {
                             self.reconnect(ctx);
                         }
@@ -546,21 +634,27 @@ impl Actor for BenchClient {
             return;
         };
         match *ev {
-            NetEvent::CmEstablished { qp, .. } => {
-                if self.channel.is_some() {
+            NetEvent::CmEstablished { qp, peer } => {
+                let (node, ring) = (self.node, self.cfg.ring_size);
+                let net = self.net.clone();
+                let Some(conn) = self.dialed(peer) else {
+                    return;
+                };
+                if conn.channel.is_some() {
                     return;
                 }
+                conn.channel = Some(Channel::rdma(&net, ctx, node, qp, ring));
                 self.dial_attempts = 0;
-                let net = self.net.clone();
-                let ch = Channel::rdma(&net, ctx, self.node, qp, self.cfg.ring_size);
-                self.channel = Some(ch);
                 // First burst; the channel queues until the MR handshake
                 // completes.
                 self.fill_pipeline(ctx);
             }
-            NetEvent::TcpConnected { conn, .. } => {
+            NetEvent::TcpConnected { conn: tcp, peer } => {
+                let Some(conn) = self.dialed(peer) else {
+                    return;
+                };
+                conn.channel = Some(Channel::tcp(tcp));
                 self.dial_attempts = 0;
-                self.channel = Some(Channel::tcp(conn));
                 self.fill_pipeline(ctx);
             }
             NetEvent::CqNotify { cq } => {
@@ -576,14 +670,14 @@ impl Actor for BenchClient {
                     if broken {
                         return;
                     }
-                    let Some(ch) = self.channel.as_mut() else {
+                    let Some((route, ch)) = self.channel_where(|ch| ch.qp() == Some(wc.qp)) else {
                         return;
                     };
                     if let Some(ChannelMsg { tag: t, payload }) = ch.on_wc(&net, ctx, &wc) {
                         if t == tag::REPLY {
-                            self.on_reply(ctx, &payload);
+                            self.on_reply(ctx, route, &payload);
                         }
-                    } else if self.channel.as_ref().is_some_and(Channel::broken) {
+                    } else if ch.broken() {
                         broken = true;
                     }
                 });
@@ -594,27 +688,26 @@ impl Actor for BenchClient {
                     self.reconnect(ctx);
                 }
             }
-            NetEvent::TcpDelivered { bytes, .. } => {
-                let msgs = self
-                    .channel
-                    .as_mut()
-                    .map(|ch| ch.on_tcp_bytes(bytes))
-                    .unwrap_or_default();
-                for m in msgs {
+            NetEvent::TcpDelivered { conn: tcp, bytes } => {
+                let Some((route, ch)) = self.channel_where(|ch| ch.tcp_conn() == Some(tcp)) else {
+                    return;
+                };
+                for m in ch.on_tcp_bytes(bytes) {
                     if m.tag == tag::REPLY {
-                        self.on_reply(ctx, &m.payload);
+                        self.on_reply(ctx, route, &m.payload);
                     }
                 }
             }
             NetEvent::TcpClosed { .. } if ctx.now() < self.workload.stop_at => {
                 self.reconnect(ctx);
             }
-            NetEvent::CmConnectFailed { .. } | NetEvent::TcpConnectFailed { .. } => {
+            NetEvent::CmConnectFailed { to } | NetEvent::TcpConnectFailed { to } => {
                 // Redial with capped exponential backoff: base delay for
                 // the startup race, doubling toward the configured cap
                 // under a long partition — but never beyond
                 // `client_retry_timeout`, so a recovered server is found
                 // within one watchdog period.
+                self.dialed(to);
                 self.dial_attempts = self.dial_attempts.saturating_add(1);
                 self.stat_dial_failures += 1;
                 let delay = self.cfg.client_dial_delay(self.dial_attempts);
@@ -752,11 +845,22 @@ mod tests {
         assert_ne!(history_stamp(0, 5), history_stamp(1, 5));
         assert_eq!(parse_stamp(b"xxxx"), None);
         assert_eq!(parse_stamp(b""), None);
-        assert_eq!(parse_reply_stamp(&Resp::NullBulk.encode()), Some(0));
         assert_eq!(
             parse_reply_stamp(&Resp::Bulk(stamp_value(99, 8)).encode()),
             Some(99)
         );
+    }
+
+    /// A GET reply observes what it carries: a missing key observes 0,
+    /// a numeric value its stamp, errors and non-numeric values nothing.
+    #[test]
+    fn parse_reply_stamp_handles_replies() {
+        assert_eq!(parse_reply_stamp(&Resp::NullBulk.encode()), Some(0));
+        assert_eq!(
+            parse_reply_stamp(&Resp::Bulk(b"42".to_vec()).encode()),
+            Some(42)
+        );
+        assert_eq!(parse_reply_stamp(&Resp::Bulk(b"x".to_vec()).encode()), None);
         assert_eq!(parse_reply_stamp(b"-ERR nope\r\n"), None);
     }
 

@@ -11,10 +11,10 @@ use skv_simcore::{ActorId, SimDuration, SimTime, Simulation};
 
 use crate::client::{BenchClient, Workload};
 use crate::config::{ClusterConfig, Mode};
-use crate::histcheck::{self, HistReader, HistSpec, HistWriter, ReadAnchor, SharedHistory};
+use crate::histcheck::{self, SharedHistory};
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
-use crate::replmode::{quorum_slave_acks, ReplModeKind};
+use crate::replmode::ReplModeKind;
 use crate::server::{Control, KvServer};
 
 /// Well-known ports.
@@ -253,6 +253,10 @@ impl Cluster {
             _ => master_addr,
         };
         let bench_history = cfg.record_history.then(histcheck::new_history);
+        let read_target = cfg
+            .read_replica
+            .and_then(|i| slave_nodes.get(i))
+            .map(|&n| SocketAddr::new(n, KV_PORT));
         let clients: Vec<ActorId> = (0..spec.num_clients)
             .map(|i| {
                 let mut client = BenchClient::new(
@@ -265,6 +269,9 @@ impl Cluster {
                 );
                 if let Some(history) = &bench_history {
                     client.record_into(i, history.clone());
+                }
+                if let Some(replica) = read_target {
+                    client.read_from(replica);
                 }
                 sim.add_actor(Box::new(client))
             })
@@ -336,71 +343,6 @@ impl Cluster {
             self.schedule_nic_crash(crash_at);
             self.schedule_nic_recover(recover_at);
         }
-    }
-
-    /// Deploy history probe actors (see [`crate::histcheck`]) on the
-    /// client machine: `spec.writers` single-writer actors against the
-    /// master and `spec.readers` readers against the anchor. Call after
-    /// [`Cluster::build`], before running. The returned handle holds the
-    /// recorded history for [`histcheck::check_single_writer`].
-    pub fn add_history(&mut self, spec: &HistSpec) -> SharedHistory {
-        let history = histcheck::new_history();
-        let cfg = self.spec.cfg.clone();
-        let master_addr = SocketAddr::new(self.master_node, KV_PORT);
-        // With the hot-key cache on, the history probes exercise the NIC
-        // front end exactly like the bench clients: writers and
-        // master-anchored readers dial the Nic-KV, so stale cache hits
-        // surface as single-writer monotonicity violations.
-        let front_addr = match self.nic_node {
-            Some(n) if cfg.hot_cache_enabled() => SocketAddr::new(n, NIC_PORT),
-            _ => master_addr,
-        };
-        let slave_addrs: Vec<SocketAddr> = self
-            .slave_nodes
-            .iter()
-            .map(|&n| SocketAddr::new(n, KV_PORT))
-            .collect();
-        let (targets, read_quorum) = match spec.anchor {
-            ReadAnchor::Master => (vec![front_addr], 1),
-            ReadAnchor::Slave(i) => (vec![slave_addrs[i]], 1),
-            ReadAnchor::MasterQuorum => {
-                let mut t = vec![front_addr];
-                t.extend(slave_addrs.iter().copied());
-                (t, quorum_slave_acks(cfg.num_slaves) + 1)
-            }
-        };
-        let start = self.clients_start;
-        let stop = self.measure_until;
-        for w in 0..spec.writers {
-            self.sim.add_actor(Box::new(HistWriter::new(
-                self.net.clone(),
-                cfg.clone(),
-                self.client_node,
-                front_addr,
-                history.clone(),
-                w,
-                spec.keys_per_writer,
-                spec.op_gap,
-                start,
-                stop,
-            )));
-        }
-        for _ in 0..spec.readers {
-            self.sim.add_actor(Box::new(HistReader::new(
-                self.net.clone(),
-                cfg.clone(),
-                self.client_node,
-                targets.clone(),
-                read_quorum,
-                history.clone(),
-                spec.writers,
-                spec.keys_per_writer,
-                spec.op_gap,
-                start,
-                stop,
-            )));
-        }
-        history
     }
 
     /// Schedule a SmartNIC SoC crash at `at` (SKV mode; no-op otherwise).
@@ -548,17 +490,7 @@ impl Cluster {
         // History-recording counters: sizes of the recorded event log,
         // present only when the recorder ran.
         if let Some(history) = &self.bench_history {
-            let h = history.borrow();
-            let reads = h
-                .ops
-                .iter()
-                .filter(|o| o.kind == histcheck::OpKind::Read)
-                .count() as u64;
-            let aborts = h.ops.iter().filter(|o| o.aborted).count() as u64;
-            report.chaos.add("hist.ops", h.ops.len() as u64);
-            report.chaos.add("hist.reads", reads);
-            report.chaos.add("hist.writes", h.ops.len() as u64 - reads);
-            report.chaos.add("hist.aborts", aborts);
+            history.borrow().add_counters(&mut report.chaos);
         }
         report
     }
@@ -592,6 +524,7 @@ impl Cluster {
             out.add("server.stat_wrs_posted", s.stat_wrs_posted);
             out.add("server.stat_deferred_replies", s.stat_deferred_replies);
             out.add("server.stat_released_replies", s.stat_released_replies);
+            out.add("server.stat_held_replies", s.stat_held_replies);
             out.add("server.stat_mode_changes", s.stat_mode_changes);
             out.add("shard.ops", s.shard_ops().iter().sum::<u64>());
             out.add("shard.cross_msgs", s.shard_cross_msgs());
@@ -617,6 +550,7 @@ impl Cluster {
         out.add("nic.stat_chain_rejoins", 0);
         out.add("nic.stat_mode_changes", 0);
         out.add("nic.stat_fwd_stale_drops", 0);
+        out.add("nic.stat_held_replies", 0);
         if let Some(nic) = self.nic_kv() {
             out.add("shard.nic_ingress", nic.shard_ingress().iter().sum::<u64>());
             out.add("nic.stat_fanout_msgs", nic.stat_fanout_msgs);
@@ -631,6 +565,7 @@ impl Cluster {
             out.add("nic.stat_chain_rejoins", nic.stat_chain_rejoins);
             out.add("nic.stat_mode_changes", nic.stat_mode_changes);
             out.add("nic.stat_fwd_stale_drops", nic.stat_fwd_stale_drops);
+            out.add("nic.stat_held_replies", nic.stat_held_replies);
         }
         for &name in crate::metrics::catalog::CACHE_COUNTERS {
             out.add(name, 0);
@@ -659,17 +594,7 @@ impl Cluster {
             out.add(name, 0);
         }
         if let Some(history) = &self.bench_history {
-            let h = history.borrow();
-            let reads = h
-                .ops
-                .iter()
-                .filter(|o| o.kind == histcheck::OpKind::Read)
-                .count() as u64;
-            let aborts = h.ops.iter().filter(|o| o.aborted).count() as u64;
-            out.add("hist.ops", h.ops.len() as u64);
-            out.add("hist.reads", reads);
-            out.add("hist.writes", h.ops.len() as u64 - reads);
-            out.add("hist.aborts", aborts);
+            history.borrow().add_counters(&mut out);
         }
         for &name in crate::metrics::catalog::RDMA_COUNTERS {
             out.add(name, 0);

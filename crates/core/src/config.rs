@@ -213,6 +213,21 @@ pub struct ClusterConfig {
     /// changes the written *values* (stamps replace the `xxxx…` filler),
     /// so the pinned workload trace digests only hold with it off.
     pub record_history: bool,
+    /// Where bench clients send their GETs. `None` (the default) keeps
+    /// each client on its single connection to the front end — the
+    /// master, or the Nic-KV with the hot cache on. The session code
+    /// special-cases that lone connection: it redials on every `Start`
+    /// and takes every completion and delivery without matching the
+    /// transport, as the single-connection client did, so seeded
+    /// schedules are unchanged (the pinned determinism and workload
+    /// trace digests hold). `Some(i)` gives each client a second
+    /// connection, to slave `i`, that carries every GET; SET and MSET
+    /// stay on the front end. This is how a history shows what a
+    /// replica read sees: the chain tail is linearizable, an async
+    /// slave cut off from the master serves stale reads.
+    /// [`ClusterConfig::validate`] rejects `i >= num_slaves`.
+    // skv-lint: allow(config-drift) -- test-only read routing, exercised by chaos/replmode/histcheck_smoke
+    pub read_replica: Option<usize>,
     /// Cross-mode failover: allow the NIC to demote a quorum cluster to
     /// the async stream when fewer than a write quorum of slaves are
     /// reachable, and re-promote once a quorum heals. The demotion
@@ -258,6 +273,7 @@ impl Default for ClusterConfig {
             repl_window: 256,
             record_commits: false,
             record_history: false,
+            read_replica: None,
             mode_failover: false,
             costs: CostParams::default(),
             net: NetParams::default(),
@@ -338,6 +354,12 @@ impl ClusterConfig {
                  configs (num_shards {}) must size the NIC pool explicitly \
                  instead of relying on the clamp",
                 self.thread_num, self.machines.nic_cores, self.num_shards
+            ));
+        }
+        if let Some(i) = self.read_replica.filter(|&i| i >= self.num_slaves) {
+            return Err(format!(
+                "read_replica {i} names no slave; the cluster has {} (indices 0..{})",
+                self.num_slaves, self.num_slaves
             ));
         }
         // Hot-cache knobs. The policy name is checked even with the
@@ -548,6 +570,31 @@ mod tests {
             ..Default::default()
         };
         assert!(sized.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_read_replica_past_the_slaves() {
+        let cfg = ClusterConfig {
+            num_slaves: 3,
+            read_replica: Some(3),
+            ..Default::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("read_replica 3"), "unexpected error: {err}");
+        let none = ClusterConfig {
+            num_slaves: 0,
+            read_replica: Some(0),
+            ..Default::default()
+        };
+        assert!(none.validate().is_err(), "no slave to read from");
+        for i in 0..3 {
+            let cfg = ClusterConfig {
+                num_slaves: 3,
+                read_replica: Some(i),
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_ok(), "slave {i} rejected");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod catalog {
         "stat_wrs_posted",
         "stat_deferred_replies",
         "stat_released_replies",
+        "stat_held_replies",
         "stat_mode_changes",
     ];
     /// Nic-KV fan-out and replication-mode counters (`nickv.rs`).
@@ -47,6 +48,7 @@ pub mod catalog {
         "stat_chain_rejoins",
         "stat_mode_changes",
         "stat_fwd_stale_drops",
+        "stat_held_replies",
     ];
     /// Bench-client counters (`client.rs`), summed over all clients.
     pub const CLIENT_STATS: &[&str] = &[

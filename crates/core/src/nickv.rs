@@ -26,7 +26,7 @@ use crate::channel::{Channel, ChannelMsg};
 use crate::config::ClusterConfig;
 use crate::cqdrain;
 use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache};
-use crate::protocol::{tag, NodeMsg};
+use crate::protocol::{tag, NodeMsg, ReplyOrder};
 use crate::replmode::{quorum_slave_acks, ReplModeKind};
 
 /// An entry in the node list (paper §III-C: "a node list storing the
@@ -68,8 +68,13 @@ enum NicMsg {
     /// head hop.
     ChainHop { seq: u64 },
     /// Front-end ARM work for a client-bound reply finished (a cache hit
-    /// or a relayed forwarded reply); send it on the client channel now.
-    CacheReply { conn: usize, frame: Frame },
+    /// or a relayed forwarded reply); send it on the client channel once
+    /// every earlier request's reply there has left.
+    CacheReply {
+        conn: usize,
+        ticket: u64,
+        frame: Frame,
+    },
     /// Front-end forwarding work for a missed/non-GET client command
     /// finished; relay the cookie-framed `FWD_CMD` to the master.
     FwdSend { cookie: u64, frame: Frame },
@@ -80,6 +85,8 @@ enum NicMsg {
 /// cache admission candidate.
 struct FwdCtx {
     conn: usize,
+    /// The client connection's [`ReplyOrder`] ticket for this command.
+    ticket: u64,
     key: Option<Vec<u8>>,
 }
 
@@ -127,6 +134,9 @@ struct ConnState {
     /// doorbell/WR statistics count every fan-out WR at actual post time
     /// (and only fan-out WRs — flushed control messages don't count).
     deferred_wrs: u64,
+    /// Keeps a client connection's replies in request order: a cache
+    /// hit finishes ahead of an earlier miss still at the master.
+    replies: ReplyOrder,
 }
 
 /// The Nic-KV actor.
@@ -238,6 +248,9 @@ pub struct NicKv {
     pub stat_fwd_stale_drops: u64,
     /// Outstanding forwarded commands by cookie.
     fwd_pending: DetMap<u64, FwdCtx>,
+    /// Client replies that finished ahead of an earlier request's reply
+    /// on the same connection and waited for it.
+    pub stat_held_replies: u64,
 }
 
 impl NicKv {
@@ -295,6 +308,7 @@ impl NicKv {
             fwd_epoch: 0,
             stat_fwd_stale_drops: 0,
             fwd_pending: DetMap::new(),
+            stat_held_replies: 0,
         }
     }
 
@@ -479,11 +493,9 @@ impl NicKv {
         let err: Frame = skv_store::resp::Resp::Error("ERR master unavailable".into())
             .encode()
             .into();
-        let conns: Vec<usize> = pending.iter().map(|(_, f)| f.conn).collect();
-        for conn in conns {
-            if self.conns[conn].open {
-                self.send_on(ctx, conn, tag::REPLY, err.clone());
-            }
+        let waiting: Vec<(usize, u64)> = pending.iter().map(|(_, f)| (f.conn, f.ticket)).collect();
+        for (conn, ticket) in waiting {
+            self.send_reply(ctx, conn, ticket, err.clone());
         }
     }
 
@@ -553,6 +565,7 @@ impl NicKv {
             },
             _ => None,
         };
+        let ticket = self.conns[conn].replies.ticket();
         if let (Some(key), Some(cache)) = (get_key.as_deref(), self.cache.as_mut()) {
             // The sketch tracks GET demand whether or not the key is
             // resident — admission needs hotness for misses too.
@@ -562,13 +575,27 @@ impl NicKv {
                     .cpu
                     .run_on(self.fe_core(), ctx.now(), self.cfg.costs.nic_cache_hit)
                     .finished;
-                ctx.timer_at(done, NicMsg::CacheReply { conn, frame: reply });
+                ctx.timer_at(
+                    done,
+                    NicMsg::CacheReply {
+                        conn,
+                        ticket,
+                        frame: reply,
+                    },
+                );
                 return;
             }
         }
         self.fwd_seq += 1;
         let cookie = fwd_cookie(self.fwd_epoch, self.fwd_seq);
-        self.fwd_pending.insert(cookie, FwdCtx { conn, key: get_key });
+        self.fwd_pending.insert(
+            cookie,
+            FwdCtx {
+                conn,
+                ticket,
+                key: get_key,
+            },
+        );
         let mut fwd = Vec::with_capacity(8 + payload.len());
         fwd.extend_from_slice(&cookie.to_le_bytes());
         fwd.extend_from_slice(&payload);
@@ -598,9 +625,24 @@ impl NicKv {
         let Some(fwd) = self.fwd_pending.remove(&cookie) else {
             return;
         };
-        if self.conns[fwd.conn].open {
-            let err = skv_store::resp::Resp::Error("ERR master unavailable".into()).encode();
-            self.send_on(ctx, fwd.conn, tag::REPLY, err);
+        let err = skv_store::resp::Resp::Error("ERR master unavailable".into()).encode();
+        self.send_reply(ctx, fwd.conn, fwd.ticket, err.into());
+    }
+
+    /// Send a client reply through its connection's [`ReplyOrder`]: it
+    /// waits while an earlier request's reply is unsent, and sending it
+    /// may release replies that finished behind it.
+    fn send_reply(&mut self, ctx: &mut Context<'_>, conn: usize, ticket: u64, frame: Frame) {
+        if !self.conns[conn].open {
+            return;
+        }
+        let Some(reply) = self.conns[conn].replies.finish(ticket, frame) else {
+            self.stat_held_replies += 1;
+            return;
+        };
+        self.send_on(ctx, conn, tag::REPLY, reply);
+        while let Some(reply) = self.conns[conn].replies.next_due() {
+            self.send_on(ctx, conn, tag::REPLY, reply);
         }
     }
 
@@ -650,6 +692,7 @@ impl NicKv {
             done,
             NicMsg::CacheReply {
                 conn: fwd.conn,
+                ticket: fwd.ticket,
                 frame: body,
             },
         );
@@ -1729,9 +1772,11 @@ impl Actor for NicKv {
                         self.chain_hop_post(ctx, seq);
                     }
                     NicMsg::CacheReply { .. } if self.crashed => {}
-                    NicMsg::CacheReply { conn, frame } => {
-                        self.send_on(ctx, conn, tag::REPLY, frame);
-                    }
+                    NicMsg::CacheReply {
+                        conn,
+                        ticket,
+                        frame,
+                    } => self.send_reply(ctx, conn, ticket, frame),
                     NicMsg::FwdSend { .. } if self.crashed => {}
                     NicMsg::FwdSend { cookie, frame } => {
                         self.fwd_to_master(ctx, cookie, frame);
@@ -1765,6 +1810,7 @@ impl Actor for NicKv {
                     channel: ch,
                     open: true,
                     deferred_wrs: 0,
+                    replies: ReplyOrder::default(),
                 });
             }
             NetEvent::CqNotify { cq } => {

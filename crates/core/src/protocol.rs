@@ -6,7 +6,9 @@
 //! Figures 8 and 9: initial-sync requests, sync notifications, RDB chunks,
 //! steady-state replication requests, probes, and progress reports.
 
-use skv_netsim::SocketAddr;
+use std::collections::BTreeMap;
+
+use skv_netsim::{Frame, SocketAddr};
 use skv_store::repl::{ReplicationId, ReplicationPosition};
 
 use crate::replmode::ReplModeKind;
@@ -381,6 +383,55 @@ fn get_repl_id(buf: &[u8], pos: &mut usize) -> Option<ReplicationId> {
     Some(ReplicationId(bytes))
 }
 
+/// Reply order on one client connection. A RESP client matches replies
+/// to its requests in order, as a pipelined Redis client does, so a
+/// server that finishes requests out of order must not send them out of
+/// order: a NIC cache hit can finish ahead of an earlier miss it
+/// forwarded, a GET ahead of an earlier SET whose reply waits for the
+/// replication commit, and one shard's command ahead of another's.
+///
+/// Every request takes a ticket when it arrives; a finished reply leaves
+/// only when every earlier ticket's reply has left, and waits here until
+/// then. A connection with one request in flight never waits, so its
+/// schedule is exactly what it would be without the ordering.
+#[derive(Debug, Default)]
+pub(crate) struct ReplyOrder {
+    /// Next ticket to hand out.
+    issued: u64,
+    /// Ticket whose reply leaves next.
+    due: u64,
+    /// Finished replies waiting for an earlier one, by ticket.
+    held: BTreeMap<u64, Frame>,
+}
+
+impl ReplyOrder {
+    /// Ticket for the request that just arrived.
+    pub(crate) fn ticket(&mut self) -> u64 {
+        let t = self.issued;
+        self.issued += 1;
+        t
+    }
+
+    /// The reply for `ticket` is finished. Returns it if it may leave
+    /// now — then drain [`ReplyOrder::next_due`] for the replies it
+    /// unblocked — or holds it and returns `None`.
+    pub(crate) fn finish(&mut self, ticket: u64, reply: Frame) -> Option<Frame> {
+        if ticket == self.due {
+            self.due += 1;
+            return Some(reply);
+        }
+        self.held.insert(ticket, reply);
+        None
+    }
+
+    /// The held reply that may leave next, if it is finished.
+    pub(crate) fn next_due(&mut self) -> Option<Frame> {
+        let reply = self.held.remove(&self.due)?;
+        self.due += 1;
+        Some(reply)
+    }
+}
+
 fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let end = *pos + 8;
     let v = u64::from_le_bytes(buf.get(*pos..end)?.try_into().ok()?);
@@ -409,6 +460,25 @@ mod tests {
 
     fn addr(n: u32, p: u16) -> SocketAddr {
         SocketAddr::new(NodeId(n), p)
+    }
+
+    #[test]
+    fn replies_leave_in_ticket_order() {
+        let mut order = ReplyOrder::default();
+        let (a, b, c) = (order.ticket(), order.ticket(), order.ticket());
+        let f = |s: &str| Frame::from(s.as_bytes().to_vec());
+        // The last request finishes first, then the second: both wait.
+        assert_eq!(order.finish(c, f("c")), None);
+        assert_eq!(order.finish(b, f("b")), None);
+        assert_eq!(order.next_due(), None);
+        // The first one releases itself, then the two behind it in order.
+        assert_eq!(order.finish(a, f("a")).as_deref(), Some(&b"a"[..]));
+        assert_eq!(order.next_due().as_deref(), Some(&b"b"[..]));
+        assert_eq!(order.next_due().as_deref(), Some(&b"c"[..]));
+        assert_eq!(order.next_due(), None);
+        // In-order replies never wait.
+        let d = order.ticket();
+        assert_eq!(order.finish(d, f("d")).as_deref(), Some(&b"d"[..]));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use crate::channel::{Channel, ChannelMsg};
 use crate::config::{ClusterConfig, Mode};
 use crate::cqdrain;
-use crate::protocol::{tag, NodeMsg};
+use crate::protocol::{tag, NodeMsg, ReplyOrder};
 use crate::replmode::{self, ReplModeKind};
 use crate::shard::{ApplyRing, RoutePlan, ShardRouter, APPLY_RING_CAP, CROSS_SHARD_HOP};
 
@@ -92,6 +92,9 @@ struct OutFrame {
     conn: usize,
     tag: u32,
     payload: Frame,
+    /// The [`ReplyOrder`] ticket of a direct client reply; `None` for
+    /// every other frame.
+    ticket: Option<u64>,
 }
 
 /// A client reply the master is holding until the replication mode
@@ -104,6 +107,8 @@ struct PendingReply {
     /// for a command relayed by the SoC front-end.
     tag: u32,
     payload: Frame,
+    /// The direct client reply's [`ReplyOrder`] ticket.
+    ticket: Option<u64>,
 }
 
 /// What a connection is for (learned from traffic or connect intent).
@@ -128,6 +133,8 @@ struct ConnState {
     /// The listen address we dialled (outbound conns only; inbound peers
     /// show an ephemeral port we can't route back to).
     peer: Option<SocketAddr>,
+    /// Keeps this connection's client replies in request order.
+    replies: ReplyOrder,
 }
 
 /// Why we are dialling out, keyed by remote address.
@@ -256,6 +263,9 @@ pub struct KvServer {
     last_write_ack: u64,
     /// Client replies deferred behind replication commit (quorum/chain).
     pub stat_deferred_replies: u64,
+    /// Client replies that finished ahead of an earlier request's reply
+    /// on the same connection and waited for it.
+    pub stat_held_replies: u64,
     /// Deferred replies released after a commit or census advance.
     pub stat_released_replies: u64,
     /// The replication mode currently in force. Equals `cfg.repl_mode`
@@ -338,6 +348,7 @@ impl KvServer {
             commit_upto: 0,
             last_write_ack: 0,
             stat_deferred_replies: 0,
+            stat_held_replies: 0,
             stat_released_replies: 0,
             // Sized for a typical wire frame (4 KiB value + headers); the
             // slab keeps enough buffers for a deep pipeline of in-flight
@@ -472,6 +483,7 @@ impl KvServer {
             kind,
             open: true,
             peer,
+            replies: ReplyOrder::default(),
         });
         idx
     }
@@ -965,6 +977,11 @@ impl KvServer {
         let defer = replicate.is_some()
             && self.is_master()
             && replmode::replication_mode(self.active_mode).defers_replies();
+        // A direct client reply takes its connection's next ticket here:
+        // every command path ends in exactly one `finish_command`, called
+        // while the command is handled, so tickets follow arrival order.
+        // (The front end orders relayed replies per client itself.)
+        let ticket = fwd.is_none().then(|| self.conns[conn].replies.ticket());
         // A forwarded command's reply is re-framed with its relay cookie
         // and leaves under FWD_REPLY.
         let (reply_tag, reply_frame): (u32, Frame) = match fwd {
@@ -1008,6 +1025,7 @@ impl KvServer {
                 conn,
                 tag: reply_tag,
                 payload: reply_frame.clone(),
+                ticket,
             });
         }
 
@@ -1022,6 +1040,7 @@ impl KvServer {
                     conn,
                     tag: reply_tag,
                     payload: reply_frame.clone(),
+                    ticket,
                 });
             }
             // The stream frame is built in a recycled send-ring buffer —
@@ -1052,6 +1071,7 @@ impl KvServer {
                             conn: nic,
                             tag: tag::REPL_STREAM,
                             payload: frame,
+                            ticket: None,
                         });
                     } else {
                         let slaves = self.synced_slave_conns();
@@ -1063,6 +1083,7 @@ impl KvServer {
                                 conn: slave,
                                 tag: tag::REPL_STREAM,
                                 payload: frame.clone(),
+                                ticket: None,
                             });
                         }
                     }
@@ -1080,6 +1101,7 @@ impl KvServer {
                             conn: slave,
                             tag: tag::REPL_STREAM,
                             payload: frame.clone(),
+                            ticket: None,
                         });
                     }
                 }
@@ -1090,6 +1112,7 @@ impl KvServer {
                             conn: slave,
                             tag: tag::REPL_STREAM,
                             payload: frame.clone(),
+                            ticket: None,
                         });
                     }
                 }
@@ -1103,6 +1126,7 @@ impl KvServer {
                 conn,
                 tag: reply_tag,
                 payload: reply_frame,
+                ticket,
             });
         }
 
@@ -1251,6 +1275,7 @@ impl KvServer {
                 conn: p.conn,
                 tag: p.tag,
                 payload: p.payload,
+                ticket: p.ticket,
             });
         }
         if frames.is_empty() {
@@ -1280,7 +1305,7 @@ impl KvServer {
     fn emit_frames(&mut self, ctx: &mut Context<'_>, frames: Vec<OutFrame>) {
         if !self.cfg.batch_wr_posts {
             for f in frames {
-                self.send_on(ctx, f.conn, f.tag, f.payload);
+                self.send_frame(ctx, f);
             }
             return;
         }
@@ -1303,7 +1328,7 @@ impl KvServer {
                     wrs.push(wr);
                 }
             } else {
-                self.send_on(ctx, f.conn, f.tag, f.payload);
+                self.send_frame(ctx, f);
             }
         }
         if wrs.is_empty() {
@@ -1316,6 +1341,25 @@ impl KvServer {
                 self.conns[conn].channel.mark_broken();
                 self.on_conn_broken(ctx, conn);
             }
+        }
+    }
+
+    /// Send one staged frame. A direct client reply leaves through its
+    /// connection's [`ReplyOrder`]: it waits while an earlier request's
+    /// reply is still unsent, and sending it may release replies that
+    /// finished behind it.
+    fn send_frame(&mut self, ctx: &mut Context<'_>, f: OutFrame) {
+        let Some(ticket) = f.ticket else {
+            self.send_on(ctx, f.conn, f.tag, f.payload);
+            return;
+        };
+        let Some(reply) = self.conns[f.conn].replies.finish(ticket, f.payload) else {
+            self.stat_held_replies += 1;
+            return;
+        };
+        self.send_on(ctx, f.conn, f.tag, reply);
+        while let Some(reply) = self.conns[f.conn].replies.next_due() {
+            self.send_on(ctx, f.conn, f.tag, reply);
         }
     }
 

@@ -226,23 +226,30 @@ proptest! {
 
 // -- per-protocol fault arms (replication modes) ------------------------------
 
-use skv_core::histcheck::{
-    check_linearizable, check_single_writer, stale_reads, HistSpec, ReadAnchor,
-};
+use skv_core::histcheck::{check_linearizable, stale_reads};
 use skv_core::replmode::ReplModeKind;
+use skv_integration_tests::checked_history;
 use skv_netsim::{FaultPlan, Partition, TimeWindow};
+
+/// Record the bench clients' own history for the linearizability
+/// checker, with GETs routed to `read_replica` (the front end when
+/// `None`). Half the ops are writes and the key space is small, so most
+/// reads observe a written value.
+fn recorded(mut s: RunSpec, read_replica: Option<usize>) -> RunSpec {
+    s.cfg.record_history = true;
+    s.cfg.read_replica = read_replica;
+    s.set_ratio = 0.5;
+    s.key_space = 64;
+    s
+}
 
 /// A slave crashes mid-fan-out under a tracked mode: the protocol must
 /// keep committing through the survivors and the client-visible history
-/// must stay linearizable at its anchor.
-fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
+/// must stay linearizable where the clients read.
+fn slave_crash_stays_linearizable(mode: ReplModeKind, read_replica: Option<usize>) {
     let mut s = spec(3, 2, 2_000, 41);
     s.cfg.repl_mode = mode;
-    let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(&HistSpec {
-        anchor,
-        ..HistSpec::default()
-    });
+    let mut cluster = Cluster::build(recorded(s, read_replica));
     // Crash slave 0 (the chain head / a quorum member) mid-run, recover
     // it before the end so convergence is checkable.
     cluster.schedule_slave_crash(0, SimTime::from_millis(700));
@@ -252,10 +259,11 @@ fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
     let nic = cluster.nic_kv().expect("nic");
     assert!(nic.stat_commits > 0, "{mode}: nothing committed");
     assert_eq!(nic.pending_writes(), 0, "{mode}: stuck in-flight writes");
+    let history = checked_history(&cluster);
     let h = history.borrow();
     let done = h.ops.iter().filter(|o| o.completed.is_some()).count();
-    assert!(done > 100, "{mode}: only {done} probe ops completed");
-    let violations = check_single_writer(&h);
+    assert!(done > 100, "{mode}: only {done} ops completed");
+    let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
         "{mode}: consistency violations under slave crash: {violations:?}"
@@ -266,27 +274,24 @@ fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
 
 #[test]
 fn slave_crash_quorum_history_linearizable() {
-    slave_crash_stays_linearizable(ReplModeKind::Quorum, ReadAnchor::MasterQuorum);
+    // Quorum commits at a majority; reads at the front end.
+    slave_crash_stays_linearizable(ReplModeKind::Quorum, None);
 }
 
 #[test]
 fn slave_crash_chain_history_linearizable() {
-    // Tail-anchored reads (slave 2); the crashed node is the chain head.
-    slave_crash_stays_linearizable(ReplModeKind::Chain, ReadAnchor::Slave(2));
+    // Tail reads (slave 2); the crashed node is the chain head.
+    slave_crash_stays_linearizable(ReplModeKind::Chain, Some(2));
 }
 
 #[test]
 fn slave_crash_async_serves_stale_reads_then_converges() {
     // The async contrast arm: cut a slave off from the servers (but not
-    // from the probe clients) and the master keeps acking writes the
-    // anchor never saw — the checker must catch the stale reads. After
-    // the heal the replicas still converge: eventual consistency, and
-    // nothing stronger.
-    let mut cluster = Cluster::build(spec(2, 2, 2_000, 42));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(0),
-        ..HistSpec::default()
-    });
+    // from the clients, which read there) and the master keeps acking
+    // writes the slave never saw — the checker must catch the stale
+    // reads. After the heal the replicas still converge: eventual
+    // consistency, and nothing stronger.
+    let mut cluster = Cluster::build(recorded(spec(2, 2, 2_000, 42), Some(0)));
     let lagging = cluster.slave_nodes[0];
     let servers: Vec<_> = std::iter::once(cluster.master_node)
         .chain(cluster.nic_node)
@@ -301,23 +306,16 @@ fn slave_crash_async_serves_stale_reads_then_converges() {
     cluster.net.set_fault_plan(plan);
     run_and_quiesce(&mut cluster, SimDuration::from_secs(3));
 
+    let history = checked_history(&cluster);
     let h = history.borrow();
-    let violations = check_single_writer(&h);
+    // Async staleness reproduces as concrete counterexamples from the
+    // full checker, not just screen hits.
+    let violations = check_linearizable(&h);
     assert!(
         stale_reads(&violations) > 0,
-        "async must expose stale reads at the cut-off anchor, found none \
-         ({} ops recorded)",
-        h.ops.len()
-    );
-    // The known-bad fixture for the full checker: the same history fed
-    // through the multi-writer search must also be rejected — async
-    // staleness reproduces as a concrete counterexample, not just a
-    // single-writer screen hit.
-    let mw = check_linearizable(&h);
-    assert!(
-        stale_reads(&mw) > 0,
-        "multi-writer checker accepted a known-stale history \
-         ({} single-writer violations)",
+        "async must expose stale reads at the cut-off slave, found none \
+         ({} ops recorded, {} violations)",
+        h.ops.len(),
         violations.len()
     );
     drop(h);
@@ -332,15 +330,11 @@ fn chain_rejoin_splices_recovered_slave_without_overlap() {
     // splice it back in at the TAIL of each open chain, skipping every
     // write already covered by its resync offset — re-delivering one
     // would hand the slave an overlapping backlog window. Commits keep
-    // flowing, nothing wedges behind the rejoiner, and the tail-anchored
-    // history stays linearizable through crash, rejoin, and resync.
+    // flowing, nothing wedges behind the rejoiner, and the history read
+    // at the tail stays linearizable through crash, rejoin, and resync.
     let mut s = spec(3, 2, 2_000, 44);
     s.cfg.repl_mode = ReplModeKind::Chain;
-    let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(2),
-        ..HistSpec::default()
-    });
+    let mut cluster = Cluster::build(recorded(s, Some(2)));
     // Crash the middle hop with writes in flight; recover it mid-run so
     // it rejoins under load.
     cluster.schedule_slave_crash(1, SimTime::from_millis(700));
@@ -354,6 +348,7 @@ fn chain_rejoin_splices_recovered_slave_without_overlap() {
     );
     assert!(nic.stat_commits > 0, "chain stopped committing");
     assert_eq!(nic.pending_writes(), 0, "writes stuck behind the rejoiner");
+    let history = checked_history(&cluster);
     let h = history.borrow();
     let violations = check_linearizable(&h);
     assert!(
@@ -369,14 +364,10 @@ fn chain_mid_node_partition_triggers_repair() {
     // Partition the middle hop of a 3-slave chain: WRs to it die with
     // retry-exhaustion errors, the NIC must splice it out of in-flight
     // chains (repair), keep committing through head + tail, and the
-    // tail-anchored history stays linearizable throughout.
+    // history read at the tail stays linearizable throughout.
     let mut s = spec(3, 2, 2_000, 43);
     s.cfg.repl_mode = ReplModeKind::Chain;
-    let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(2),
-        ..HistSpec::default()
-    });
+    let mut cluster = Cluster::build(recorded(s, Some(2)));
     cluster.apply_chaos(&ChaosSpec {
         partition: Some((
             vec![1],
@@ -394,8 +385,9 @@ fn chain_mid_node_partition_triggers_repair() {
     );
     assert!(nic.stat_commits > 0, "chain stopped committing");
     assert_eq!(nic.pending_writes(), 0, "writes stuck behind the dead hop");
+    let history = checked_history(&cluster);
     let h = history.borrow();
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
         "chain violations under mid-node partition: {violations:?}"

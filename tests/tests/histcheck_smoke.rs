@@ -1,5 +1,6 @@
 //! CI-bounded linearizability smoke: one small recorded bench run per
-//! replication mode, fed through the multi-writer checker. Sized to
+//! replication mode, plus chain with its GETs at the tail slave, fed
+//! through the multi-writer checker. Sized to
 //! finish in seconds — `scripts/check.sh` runs this file as its history
 //! gate. On an unexpected violation the full event log is dumped to
 //! `target/histcheck_events.json` (the CI failure artifact) before the
@@ -11,6 +12,7 @@ use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::histcheck::check_linearizable;
 use skv_core::replmode::ReplModeKind;
+use skv_integration_tests::checked_history;
 use skv_simcore::SimDuration;
 
 /// Where the failure artifact lands, relative to the workspace root
@@ -18,12 +20,14 @@ use skv_simcore::SimDuration;
 const ARTIFACT: &str = "../target/histcheck_events.json";
 
 /// Small, bounded history: 2 writers, a compressed measurement window,
-/// and a narrow key space so per-key searches stay trivial.
-fn smoke_spec(mode: ReplModeKind, seed: u64) -> RunSpec {
+/// and a narrow key space so per-key searches stay trivial. GETs go to
+/// slave `read_replica`, or to the master when `None`.
+fn smoke_spec(mode: ReplModeKind, seed: u64, read_replica: Option<usize>) -> RunSpec {
     let mut cfg = ClusterConfig::for_mode(Mode::Skv);
     cfg.num_slaves = 2;
     cfg.repl_mode = mode;
     cfg.record_history = true;
+    cfg.read_replica = read_replica;
     cfg.probe_interval = SimDuration::from_millis(200);
     cfg.waiting_time = SimDuration::from_millis(300);
     cfg.upstream_silence = SimDuration::from_millis(600);
@@ -47,14 +51,14 @@ fn smoke_spec(mode: ReplModeKind, seed: u64) -> RunSpec {
 
 /// Run one mode, check the recorded history, dump the event log and
 /// fail if the checker finds a counterexample.
-fn smoke(mode: ReplModeKind, seed: u64) {
-    let mut cluster = Cluster::build(smoke_spec(mode, seed));
+fn smoke(mode: ReplModeKind, seed: u64, read_replica: Option<usize>) {
+    let mut cluster = Cluster::build(smoke_spec(mode, seed, read_replica));
     cluster.run();
     cluster
         .sim
         .run_until(cluster.measure_until + SimDuration::from_secs(1));
 
-    let history = cluster.bench_history.clone().expect("recording on");
+    let history = checked_history(&cluster);
     let h = history.borrow();
     assert!(h.ops.len() > 100, "{mode}: only {} ops recorded", h.ops.len());
     let violations = check_linearizable(&h);
@@ -73,15 +77,22 @@ fn smoke(mode: ReplModeKind, seed: u64) {
 
 #[test]
 fn histcheck_smoke_async() {
-    smoke(ReplModeKind::Async, 51);
+    smoke(ReplModeKind::Async, 51, None);
 }
 
 #[test]
 fn histcheck_smoke_quorum() {
-    smoke(ReplModeKind::Quorum, 52);
+    smoke(ReplModeKind::Quorum, 52, None);
 }
 
 #[test]
 fn histcheck_smoke_chain() {
-    smoke(ReplModeKind::Chain, 53);
+    smoke(ReplModeKind::Chain, 53, None);
+}
+
+#[test]
+fn histcheck_smoke_chain_tail_reads() {
+    // Chain commits once the tail applied, so GETs routed to the tail
+    // slave (index 1 of 2) must linearize as well.
+    smoke(ReplModeKind::Chain, 54, Some(1));
 }

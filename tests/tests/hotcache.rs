@@ -1,13 +1,14 @@
 //! SoC hot-key GET cache coverage: the NIC front end serves hot GETs
 //! from SoC memory, the replication stream invalidates/refreshes entries
-//! before the covering write is acked (checked via `skv_core::histcheck`
-//! operation histories), the win is real under Zipf skew, and a crashed
+//! before the covering write is acked (checked on the bench clients'
+//! recorded histories with `skv_core::histcheck`), the win is real under Zipf skew, and a crashed
 //! SoC rejoins with a cold cache without ever serving a stale read.
 
 use proptest::prelude::*;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
-use skv_core::histcheck::{check_single_writer, HistSpec, ReadAnchor};
+use skv_core::histcheck::check_linearizable;
+use skv_integration_tests::checked_history;
 use skv_simcore::{SimDuration, SimTime};
 
 /// Compressed-time SKV spec with the SoC cache configured: read-heavy
@@ -47,6 +48,16 @@ fn assert_converged(cluster: &Cluster) {
         digests.iter().all(|&d| d == digests[0]),
         "replicas diverged: {digests:x?}"
     );
+}
+
+/// Record the bench clients' own history; every GET goes to the NIC
+/// front end, so every read is eligible for a cached reply. The clients
+/// pipeline, so a cache hit can finish ahead of an earlier miss on the
+/// same connection: the front end must still reply in request order,
+/// because the recorder matches replies to requests in order.
+fn recorded(mut s: RunSpec) -> RunSpec {
+    s.cfg.record_history = true;
+    s
 }
 
 fn cache_counter(cluster: &Cluster, name: &str) -> u64 {
@@ -110,21 +121,17 @@ fn cache_lifts_read_heavy_throughput() {
     );
 }
 
-/// The stale-read regression the invalidation seam exists for: history
-/// probes (single-writer SETs, anchored GETs) flow through the NIC
-/// front end, so every probe GET is eligible for a cached reply — and
-/// the checker rejects any read older than the last acked write. The
-/// seam under test: dirty commands piggyback invalidation on the
-/// replication stream, and the master orders the forwarded ack *after*
-/// the stream frame on the shared NIC channel, so by the time a write
-/// is acked the SoC has already dropped or refreshed the entry.
+/// The stale-read regression the invalidation seam exists for: the
+/// bench clients record their GETs and SETs through the NIC front end,
+/// so every GET is eligible for a cached reply — and the checker rejects
+/// any read older than the last acked write. The seam under test: dirty
+/// commands piggyback invalidation on the replication stream, and the
+/// master orders the forwarded ack *after* the stream frame on the
+/// shared NIC channel, so by the time a write is acked the SoC has
+/// already dropped or refreshed the entry.
 #[test]
 fn cached_reads_never_return_stale_values() {
-    let mut cluster = Cluster::build(spec(1 << 20, "lru", 800, 53));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Master,
-        ..HistSpec::default()
-    });
+    let mut cluster = Cluster::build(recorded(spec(1 << 20, "lru", 800, 53)));
     run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
     assert!(
@@ -135,24 +142,34 @@ fn cached_reads_never_return_stale_values() {
         cache_counter(&cluster, "cache.invalidations") > 0,
         "no stream-driven invalidations — the regression is vacuous"
     );
+    assert!(
+        cluster
+            .nic_kv()
+            .is_some_and(|nic| nic.stat_held_replies > 0),
+        "no cache hit finished ahead of an earlier miss — reply ordering never exercised"
+    );
+    let history = checked_history(&cluster);
     let h = history.borrow();
     let reads = h.ops.iter().filter(|o| o.completed.is_some()).count();
-    assert!(reads > 50, "not enough probe ops completed: {reads}");
-    let violations = check_single_writer(&h);
+    assert!(reads > 50, "not enough ops completed: {reads}");
+    let violations = check_linearizable(&h);
     assert!(violations.is_empty(), "stale cached reads: {violations:?}");
 }
 
 /// Chaos arm: the SoC dies mid-run and rejoins with a cold cache. The
-/// cold rejoin must be invisible to correctness — probes that resume
+/// cold rejoin must be invisible to correctness — reads that resume
 /// against the recovered front end still never observe a stale value,
 /// clients recover, and the replicas converge.
 #[test]
 fn soc_crash_rejoins_with_cold_cache_and_stays_coherent() {
-    let mut cluster = Cluster::build(spec(1 << 20, "lru", 2_500, 54));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Master,
-        ..HistSpec::default()
-    });
+    let mut s = recorded(spec(1 << 20, "lru", 2_500, 54));
+    // The master learns of a SoC restart from probe silence, or from a
+    // failed post to the dead SoC. Every client reaches the master
+    // through the front end, so nothing makes the master post while the
+    // SoC is down; bound the silence as the other compressed-time suites
+    // do, so the master re-attaches inside the run.
+    s.cfg.upstream_silence = SimDuration::from_millis(600);
+    let mut cluster = Cluster::build(s);
     cluster.apply_chaos(&ChaosSpec {
         nic_crash: Some((SimTime::from_millis(800), SimTime::from_millis(1_500))),
         seed: 54,
@@ -173,12 +190,14 @@ fn soc_crash_rejoins_with_cold_cache_and_stays_coherent() {
     );
     assert!(cache_counter(&cluster, "cache.hits") > 0, "no hits at all");
     // ...and coherence held across the crash boundary.
+    let history = checked_history(&cluster);
     let h = history.borrow();
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
         "stale reads across the SoC crash: {violations:?}"
     );
+    drop(h);
     assert_converged(&cluster);
 }
 
@@ -188,8 +207,8 @@ proptest! {
     /// Invalidation-vs-replication ordering under randomized seed ×
     /// shard count × policy: whatever the engine layout and admission
     /// policy, a NIC cache hit must never return a value older than the
-    /// last acked write — the single-writer checker over a probe
-    /// history routed through the NIC front end.
+    /// last acked write — the linearizability checker over the bench
+    /// history recorded through the NIC front end.
     #[test]
     fn cache_coherent_across_shards_and_policies(
         seed in 0u64..1_000,
@@ -200,19 +219,16 @@ proptest! {
         let policy = ["lru", "tinylfu"][policy_idx];
         let mut s = spec(cache_kib << 10, policy, 600, 3_000 + seed);
         s.cfg.num_shards = shards;
-        let mut cluster = Cluster::build(s);
-        let history = cluster.add_history(&HistSpec {
-            anchor: ReadAnchor::Master,
-            ..HistSpec::default()
-        });
+        let mut cluster = Cluster::build(recorded(s));
         run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
         prop_assert!(
             cache_counter(&cluster, "cache.hits") > 0,
             "no cached replies — nothing exercised"
         );
+        let history = checked_history(&cluster);
         let h = history.borrow();
-        let violations = check_single_writer(&h);
+        let violations = check_linearizable(&h);
         prop_assert!(
             violations.is_empty(),
             "stale cached reads (shards={shards}, policy={policy}): {violations:?}"

@@ -8,10 +8,9 @@ use proptest::prelude::*;
 use skv_core::client::BenchClient;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
-use skv_core::histcheck::{
-    check_linearizable, check_linearizable_upto, check_single_writer, HistSpec, OpKind, ReadAnchor,
-};
+use skv_core::histcheck::{check_linearizable, check_linearizable_upto, OpKind};
 use skv_core::replmode::{quorum_slave_acks, ReplModeKind};
+use skv_integration_tests::checked_history;
 use skv_netsim::SocketAddr;
 use skv_simcore::{SimDuration, SimTime};
 
@@ -95,46 +94,6 @@ fn chain_mode_serves_and_commits() {
 }
 
 #[test]
-fn quorum_history_linearizable_on_quorum_reads() {
-    // Majority-quorum writes + master-anchored quorum reads: the probe
-    // history must carry zero violations.
-    let mut cluster = Cluster::build(spec(ReplModeKind::Quorum, 2, 600, 33));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::MasterQuorum,
-        ..HistSpec::default()
-    });
-    run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
-
-    let h = history.borrow();
-    let reads = h
-        .ops
-        .iter()
-        .filter(|o| o.completed.is_some() && o.read_set.len() >= 2)
-        .count();
-    assert!(reads > 50, "not enough quorum reads completed: {reads}");
-    let violations = check_single_writer(&h);
-    assert!(violations.is_empty(), "quorum violations: {violations:?}");
-}
-
-#[test]
-fn chain_history_linearizable_at_tail() {
-    // Chain commit = tail applied, so tail-anchored reads must be
-    // linearizable.
-    let mut cluster = Cluster::build(spec(ReplModeKind::Chain, 3, 600, 34));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(2),
-        ..HistSpec::default()
-    });
-    run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
-
-    let h = history.borrow();
-    let reads = h.ops.iter().filter(|o| o.completed.is_some()).count();
-    assert!(reads > 50, "not enough probe ops completed: {reads}");
-    let violations = check_single_writer(&h);
-    assert!(violations.is_empty(), "chain violations: {violations:?}");
-}
-
-#[test]
 fn backoff_stays_capped_under_long_partition() {
     // Satellite regression: the redial backoff doubles toward its cap
     // instead of hammering at a fixed short interval. Cut the clients
@@ -196,26 +155,37 @@ fn distinct_writers(h: &skv_core::histcheck::History) -> usize {
     writers.len()
 }
 
-/// Tentpole acceptance arm: ≥2 writers, 2 shards, hot cache on, history
-/// recorded straight off the bench clients (cache-served GETs and
-/// FWD_CMD replies included) — the multi-writer checker must find the
-/// whole history linearizable.
-fn bench_history_linearizable(mode: ReplModeKind, seed: u64) {
+/// Acceptance arm: ≥2 writers, 2 shards, hot cache on, history recorded
+/// straight off the bench clients — the multi-writer checker must find
+/// the whole history linearizable. GETs go to `read_replica`: `None`
+/// reads at the front end (cache-served GETs and FWD_CMD replies
+/// included), `Some(tail)` reads where chain commits. `adjust` edits
+/// the spec last; the run is returned for case-specific checks.
+fn bench_history_linearizable(
+    mode: ReplModeKind,
+    seed: u64,
+    read_replica: Option<usize>,
+    adjust: fn(&mut RunSpec),
+) -> Cluster {
     let mut s = spec(mode, 2, 1_000, seed);
     s.cfg.record_history = true;
+    s.cfg.read_replica = read_replica;
     s.cfg.num_shards = 2;
     s.cfg.hot_cache_bytes = 64 * 1024;
     s.set_ratio = 0.5; // the checker needs reads, not a pure SET stream
+    adjust(&mut s);
     let mut cluster = Cluster::build(s);
     run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
     let report = cluster.report();
     assert!(report.ops > 500, "{mode}: only {} ops", report.ops);
-    assert!(
-        report.chaos.get("cache.hits") > 0,
-        "{mode}: no cache-served GETs in the recorded traffic"
-    );
-    let history = cluster.bench_history.clone().expect("recording on");
+    if read_replica.is_none() && cluster.spec.cfg.hot_cache_enabled() {
+        assert!(
+            report.chaos.get("cache.hits") > 0,
+            "{mode}: no cache-served GETs in the recorded traffic"
+        );
+    }
+    let history = checked_history(&cluster);
     let h = history.borrow();
     assert!(
         distinct_writers(&h) >= 2,
@@ -226,18 +196,43 @@ fn bench_history_linearizable(mode: ReplModeKind, seed: u64) {
     let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
-        "{mode}: bench history not linearizable: {violations:?}"
+        "{mode} reads at {read_replica:?}: bench history not linearizable: {violations:?}"
     );
+    drop(h);
+    cluster
 }
 
 #[test]
 fn quorum_bench_history_multi_writer_linearizable() {
-    bench_history_linearizable(ReplModeKind::Quorum, 36);
+    bench_history_linearizable(ReplModeKind::Quorum, 36, None, |_| {});
 }
 
 #[test]
 fn chain_bench_history_multi_writer_linearizable() {
-    bench_history_linearizable(ReplModeKind::Chain, 37);
+    bench_history_linearizable(ReplModeKind::Chain, 37, None, |_| {});
+}
+
+#[test]
+fn quorum_history_linearizable_on_quorum_reads() {
+    // Majority-quorum writes, reads at the master: every slave holds a
+    // prefix of the master's stream, so a master read is as strong as a
+    // master-plus-majority read. Cache off and two commands in flight
+    // per client: a GET reaches the master behind a SET whose reply
+    // waits for the quorum commit, and its reply must wait too.
+    let cluster = bench_history_linearizable(ReplModeKind::Quorum, 33, None, |s| {
+        s.cfg.hot_cache_bytes = 0;
+        s.pipeline = 2;
+    });
+    assert!(
+        cluster.master_server().stat_held_replies > 0,
+        "no reply finished ahead of an earlier one — reply ordering never exercised"
+    );
+}
+
+#[test]
+fn chain_history_linearizable_at_tail() {
+    // Chain commit = tail applied, so tail reads must be linearizable.
+    bench_history_linearizable(ReplModeKind::Chain, 34, Some(1), |_| {});
 }
 
 #[test]
@@ -291,7 +286,10 @@ fn cross_mode_failover_degrades_and_promotes() {
     let history = cluster.bench_history.clone().expect("recording on");
     let h = history.borrow();
     let before = h.ops.iter().filter(|o| o.invoked < degraded_at).count();
-    assert!(before > 100, "only {before} ops before the degradation point");
+    assert!(
+        before > 100,
+        "only {before} ops before the degradation point"
+    );
     let violations = check_linearizable_upto(&h, degraded_at);
     assert!(
         violations.is_empty(),
