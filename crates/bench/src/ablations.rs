@@ -941,8 +941,7 @@ pub struct BackoffRow {
 /// Crash the master for 300 ms mid-measurement and compare reconnect
 /// profiles: an aggressive schedule redials often (dial-failure storm,
 /// fastest recovery), a lazy one stays quiet but gives up throughput.
-/// The numbers come from [`Cluster::counters_snapshot`] — the run report
-/// itself stays byte-identical to a chaos-free run's shape.
+/// The reconnect counts come from the report's counter snapshot.
 pub fn ablation_backoff() -> Vec<BackoffRow> {
     let profiles: &[(&'static str, u64, u64, u32, u64)] = &[
         ("aggressive", 2, 40, 16, 50),
@@ -963,7 +962,7 @@ pub fn ablation_backoff() -> Vec<BackoffRow> {
                 cluster.schedule_master_crash(SimTime::from_millis(800));
                 cluster.schedule_master_recover(SimTime::from_millis(1_100));
                 let report = cluster.run();
-                let snap = cluster.counters_snapshot();
+                let snap = &report.counters;
                 BackoffRow {
                     label,
                     base_ms,
@@ -1108,7 +1107,7 @@ pub fn ablation_shards() -> Vec<ShardRow> {
         s.key_space = 10_000;
         let mut cluster = Cluster::build(s);
         let report = cluster.run();
-        let counters = cluster.counters_snapshot();
+        let counters = &report.counters;
         rows.push(ShardRow {
             shards,
             pipeline_depth: 8,
@@ -1215,7 +1214,7 @@ pub fn ablation_hotcache() -> Vec<HotCacheRow> {
             s.cfg.hot_cache_max_value = 4 << 10;
             let mut cluster = Cluster::build(s);
             let report = cluster.run();
-            let counters = cluster.counters_snapshot();
+            let counters = &report.counters;
             rows.push(HotCacheRow {
                 policy: if cache_kib == 0 {
                     "off".to_string()

@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 
 use skv_netsim::{CqId, Net, NetEvent, NodeId, SocketAddr};
+use skv_simcore::stats::Counters;
 use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime};
 use skv_store::resp::{Decoded, Resp};
 
@@ -379,6 +380,15 @@ impl BenchClient {
         }
     }
 
+    /// Write this client's `client.stat_*` counters into `out`, zero or
+    /// not.
+    pub fn add_counters(&self, out: &mut Counters) {
+        out.add("client.stat_issued", self.stat_issued);
+        out.add("client.stat_replies", self.stat_replies);
+        out.add("client.stat_reconnects", self.stat_reconnects);
+        out.add("client.stat_dial_failures", self.stat_dial_failures);
+    }
+
     /// Route this client's operations into a shared history for the
     /// linearizability checker (see `ClusterConfig::record_history`).
     /// `client_id` keys the write stamps; it must be unique per client.
@@ -462,7 +472,6 @@ impl BenchClient {
             conn.in_flight.clear();
         }
         self.stat_reconnects += 1;
-        self.metrics.borrow_mut().chaos.inc("client.reconnects");
         ctx.timer(SimDuration::from_millis(1), ClientMsg::Start);
     }
 

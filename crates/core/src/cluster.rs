@@ -14,7 +14,6 @@ use crate::config::{ClusterConfig, Mode};
 use crate::histcheck::{self, SharedHistory};
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
-use crate::replmode::ReplModeKind;
 use crate::server::{Control, KvServer};
 
 /// Well-known ports.
@@ -394,214 +393,38 @@ impl Cluster {
         self.report()
     }
 
-    /// Summarize the run so far, folding the fabric's fault counters and
-    /// the servers' robustness stats into the report's `chaos` set.
+    /// Summarize the run so far; [`RunReport::counters`] carries the
+    /// full [`Cluster::counters_snapshot`].
     pub fn report(&self) -> RunReport {
         let mut report = RunReport::from_hub(self.spec.cfg.mode.label(), &self.metrics.borrow());
-        for (k, v) in self.net.counters().iter() {
-            if k.starts_with("faults.") || k == "rdma.qp_errors" {
-                report.chaos.add(k, v);
-            }
-        }
-        let mut servers = vec![self.master_server()];
-        for i in 0..self.slaves.len() {
-            servers.push(self.slave_server(i));
-        }
-        for s in servers {
-            report.chaos.add("server.reconnects", s.stat_reconnects);
-            report.chaos.add("server.conn_errors", s.stat_conn_errors);
-            report.chaos.add("server.degradations", s.stat_degradations);
-            report
-                .chaos
-                .add("server.partial_syncs", s.stat_partial_syncs);
-        }
-        // Tracked-mode counters are gated on the mode so the async arm's
-        // report — and therefore its determinism digest — stays
-        // bit-identical to the pre-trait code path.
-        if self.spec.cfg.repl_mode != ReplModeKind::Async {
-            if let Some(nic) = self.nic_kv() {
-                report.chaos.add("nic.commits", nic.stat_commits);
-                report.chaos.add("nic.retransmits", nic.stat_retransmits);
-                report
-                    .chaos
-                    .add("nic.chain_repairs", nic.stat_chain_repairs);
-                report
-                    .chaos
-                    .add("nic.chain_rejoins", nic.stat_chain_rejoins);
-            }
-            let m = self.master_server();
-            report
-                .chaos
-                .add("server.deferred_replies", m.stat_deferred_replies);
-            report
-                .chaos
-                .add("server.released_replies", m.stat_released_replies);
-        }
-        // Shard counters are gated the same way on the shard count, so a
-        // single-shard run's report — and its determinism digest — stays
-        // bit-identical to the pre-sharding engine.
-        if self.spec.cfg.num_shards > 1 {
-            let mut servers = vec![self.master_server()];
-            for i in 0..self.slaves.len() {
-                servers.push(self.slave_server(i));
-            }
-            for s in servers {
-                report
-                    .chaos
-                    .add("shard.ops", s.shard_ops().iter().sum::<u64>());
-                report.chaos.add("shard.cross_msgs", s.shard_cross_msgs());
-                report.chaos.add("shard.queue_depth", s.apply_queue_depth());
-            }
-            if let Some(nic) = self.nic_kv() {
-                report
-                    .chaos
-                    .add("shard.nic_ingress", nic.shard_ingress().iter().sum::<u64>());
-            }
-        }
-        // Cache counters are gated on the cache being enabled, so every
-        // cache-off run's report — and its determinism digest — stays
-        // bit-identical to the pre-cache baseline.
-        if self.spec.cfg.hot_cache_enabled() {
-            if let Some((stats, bytes)) = self.nic_kv().and_then(crate::nickv::NicKv::cache_stats)
-            {
-                report.chaos.add("cache.hits", stats.hits);
-                report.chaos.add("cache.misses", stats.misses);
-                report.chaos.add("cache.admits", stats.admits);
-                report.chaos.add("cache.evicts", stats.evicts);
-                report.chaos.add("cache.invalidations", stats.invalidations);
-                report.chaos.add("cache.bytes", bytes as u64);
-            }
-            if let Some(nic) = self.nic_kv() {
-                report
-                    .chaos
-                    .add("nic.fwd_stale_drops", nic.stat_fwd_stale_drops);
-            }
-        }
-        // Mode-failover counters exist only when the knob is on, keeping
-        // every fixed-mode report (and digest) untouched.
-        if self.spec.cfg.mode_failover {
-            if let Some(nic) = self.nic_kv() {
-                report.chaos.add("nic.mode_changes", nic.stat_mode_changes);
-            }
-            report
-                .chaos
-                .add("server.mode_changes", self.master_server().stat_mode_changes);
-        }
-        // History-recording counters: sizes of the recorded event log,
-        // present only when the recorder ran.
-        if let Some(history) = &self.bench_history {
-            history.borrow().add_counters(&mut report.chaos);
-        }
+        report.counters = self.counters_snapshot();
         report
     }
 
-    /// Dump every counter in the testbed, keyed by subsystem: `server.*`
-    /// (master + slaves summed), `nic.*`, `client.*` (all clients summed),
-    /// `store.*` (all engines summed), plus the fabric's `rdma.*` and
-    /// `faults.*` counters verbatim. Every name in
-    /// [`crate::metrics::catalog`] is present (zero when never hit), so
-    /// ablation tables get a stable schema.
-    ///
-    /// This is deliberately separate from [`Cluster::report`]: the report's
-    /// chaos set is mode-gated so determinism digests stay bit-identical
-    /// across refactors, while this snapshot is the unconditional export.
+    /// Every counter in the testbed, keyed by subsystem. Each component
+    /// writes its own (`add_counters`): `server.*`, `shard.*` and
+    /// `store.*` from master and slaves, `nic.*` and `cache.*` from
+    /// Nic-KV, `client.*` from the bench clients, `hist.*` from the
+    /// recorded history, plus the fabric's `rdma.*` and `faults.*`
+    /// counters verbatim. A component that is absent writes nothing.
     pub fn counters_snapshot(&self) -> Counters {
         let mut out = Counters::new();
-        let mut servers = vec![self.master_server()];
+        self.master_server().add_counters(&mut out);
         for i in 0..self.slaves.len() {
-            servers.push(self.slave_server(i));
+            self.slave_server(i).add_counters(&mut out);
         }
-        for s in &servers {
-            out.add("server.stat_commands", s.stat_commands);
-            out.add("server.stat_rejected", s.stat_rejected);
-            out.add("server.stat_applied_bytes", s.stat_applied_bytes);
-            out.add("server.stat_full_syncs", s.stat_full_syncs);
-            out.add("server.stat_partial_syncs", s.stat_partial_syncs);
-            out.add("server.stat_reconnects", s.stat_reconnects);
-            out.add("server.stat_conn_errors", s.stat_conn_errors);
-            out.add("server.stat_degradations", s.stat_degradations);
-            out.add("server.stat_doorbells", s.stat_doorbells);
-            out.add("server.stat_wrs_posted", s.stat_wrs_posted);
-            out.add("server.stat_deferred_replies", s.stat_deferred_replies);
-            out.add("server.stat_released_replies", s.stat_released_replies);
-            out.add("server.stat_held_replies", s.stat_held_replies);
-            out.add("server.stat_mode_changes", s.stat_mode_changes);
-            out.add("shard.ops", s.shard_ops().iter().sum::<u64>());
-            out.add("shard.cross_msgs", s.shard_cross_msgs());
-            out.add("shard.queue_depth", s.apply_queue_depth());
-            for engine in s.engines() {
-                let db = engine.db();
-                let (hits, misses) = db.stats_hit_miss();
-                out.add("store.stat_hits", hits);
-                out.add("store.stat_misses", misses);
-                out.add("store.stat_expired", db.stat_expired());
-            }
-        }
-        out.add("shard.nic_ingress", 0);
-        out.add("nic.stat_fanout_msgs", 0);
-        out.add("nic.stat_fanout_sends", 0);
-        out.add("nic.stat_doorbells", 0);
-        out.add("nic.stat_wrs_posted", 0);
-        out.add("nic.stat_probes", 0);
-        out.add("nic.stat_failovers", 0);
-        out.add("nic.stat_commits", 0);
-        out.add("nic.stat_retransmits", 0);
-        out.add("nic.stat_chain_repairs", 0);
-        out.add("nic.stat_chain_rejoins", 0);
-        out.add("nic.stat_mode_changes", 0);
-        out.add("nic.stat_fwd_stale_drops", 0);
-        out.add("nic.stat_held_replies", 0);
         if let Some(nic) = self.nic_kv() {
-            out.add("shard.nic_ingress", nic.shard_ingress().iter().sum::<u64>());
-            out.add("nic.stat_fanout_msgs", nic.stat_fanout_msgs);
-            out.add("nic.stat_fanout_sends", nic.stat_fanout_sends);
-            out.add("nic.stat_doorbells", nic.stat_doorbells);
-            out.add("nic.stat_wrs_posted", nic.stat_wrs_posted);
-            out.add("nic.stat_probes", nic.stat_probes);
-            out.add("nic.stat_failovers", nic.stat_failovers);
-            out.add("nic.stat_commits", nic.stat_commits);
-            out.add("nic.stat_retransmits", nic.stat_retransmits);
-            out.add("nic.stat_chain_repairs", nic.stat_chain_repairs);
-            out.add("nic.stat_chain_rejoins", nic.stat_chain_rejoins);
-            out.add("nic.stat_mode_changes", nic.stat_mode_changes);
-            out.add("nic.stat_fwd_stale_drops", nic.stat_fwd_stale_drops);
-            out.add("nic.stat_held_replies", nic.stat_held_replies);
+            nic.add_counters(&mut out);
         }
-        for &name in crate::metrics::catalog::CACHE_COUNTERS {
-            out.add(name, 0);
-        }
-        if let Some((stats, bytes)) = self.nic_kv().and_then(crate::nickv::NicKv::cache_stats) {
-            out.add("cache.hits", stats.hits);
-            out.add("cache.misses", stats.misses);
-            out.add("cache.admits", stats.admits);
-            out.add("cache.evicts", stats.evicts);
-            out.add("cache.invalidations", stats.invalidations);
-            out.add("cache.bytes", bytes as u64);
-        }
-        out.add("client.stat_issued", 0);
-        out.add("client.stat_replies", 0);
-        out.add("client.stat_reconnects", 0);
-        out.add("client.stat_dial_failures", 0);
         for &id in &self.clients {
             if let Some(c) = self.sim.actor_ref::<BenchClient>(id) {
-                out.add("client.stat_issued", c.stat_issued);
-                out.add("client.stat_replies", c.stat_replies);
-                out.add("client.stat_reconnects", c.stat_reconnects);
-                out.add("client.stat_dial_failures", c.stat_dial_failures);
+                c.add_counters(&mut out);
             }
-        }
-        for &name in crate::metrics::catalog::HIST_COUNTERS {
-            out.add(name, 0);
         }
         if let Some(history) = &self.bench_history {
             history.borrow().add_counters(&mut out);
         }
-        for &name in crate::metrics::catalog::RDMA_COUNTERS {
-            out.add(name, 0);
-        }
-        for (k, v) in self.net.counters().iter() {
-            out.add(k, v);
-        }
+        out.merge(&self.net.counters());
         out
     }
 
@@ -701,42 +524,85 @@ mod tests {
         assert!(report.ops > 50, "ops {}", report.ops);
     }
 
+    /// Every counter name the benchmark (`skvbench/src/cycle.rs`) and
+    /// the ablation tables (`crates/bench/src/ablations.rs`) read from
+    /// the snapshot. `Counters::get` reads an absent name as 0, so a
+    /// renamed counter would silently zero their metrics.
+    const CONSUMED_COUNTERS: &[&str] = &[
+        "cache.admits",
+        "cache.bytes",
+        "cache.evicts",
+        "cache.hits",
+        "cache.invalidations",
+        "cache.misses",
+        "client.stat_dial_failures",
+        "client.stat_issued",
+        "client.stat_reconnects",
+        "client.stat_replies",
+        "nic.stat_commits",
+        "nic.stat_fanout_sends",
+        "nic.stat_retransmits",
+        "nic.stat_wrs_posted",
+        "rdma.bytes",
+        "rdma.cq_notifies",
+        "rdma.doorbells",
+        "rdma.wcs_polled",
+        "rdma.wrs_posted",
+        "server.stat_applied_bytes",
+        "server.stat_reconnects",
+        "shard.cross_msgs",
+        "shard.queue_depth",
+        "store.stat_hits",
+        "store.stat_misses",
+    ];
+
     #[test]
-    fn counters_snapshot_covers_catalog() {
-        use crate::metrics::catalog;
-        let mut cluster = Cluster::build(small_spec(Mode::Skv));
-        cluster.run();
+    fn snapshot_exports_every_consumed_counter() {
+        let mut spec = small_spec(Mode::Skv);
+        spec.cfg.repl_mode = crate::replmode::ReplModeKind::Quorum;
+        spec.cfg.num_shards = 2;
+        spec.cfg.hot_cache_bytes = 64 * 1024;
+        spec.cfg.record_history = true;
+        spec.set_ratio = 0.5;
+        let mut cluster = Cluster::build(spec);
+        let report = cluster.run();
         let snap = cluster.counters_snapshot();
         let keys: Vec<&str> = snap.iter().map(|(k, _)| k).collect();
-        let expect_prefixed = [
-            ("server.", catalog::SERVER_STATS),
-            ("nic.", catalog::NIC_STATS),
-            ("client.", catalog::CLIENT_STATS),
-            ("store.", catalog::STORE_STATS),
-        ];
-        for (prefix, names) in expect_prefixed {
-            for &name in names {
-                let key = format!("{prefix}{name}");
-                assert!(keys.contains(&key.as_str()), "snapshot missing {key}");
-            }
-        }
-        for &name in catalog::RDMA_COUNTERS {
+        for &name in CONSUMED_COUNTERS {
             assert!(keys.contains(&name), "snapshot missing {name}");
         }
-        for &name in catalog::SHARD_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
-        for &name in catalog::CACHE_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
-        for &name in catalog::HIST_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
+        assert_eq!(report.counters.iter().count(), keys.len());
         // And the busy ones really counted.
         assert!(snap.get("server.stat_commands") > 0);
         assert!(snap.get("client.stat_replies") > 0);
-        assert!(snap.get("nic.stat_fanout_msgs") > 0);
+        assert!(snap.get("nic.stat_commits") > 0);
+        assert!(snap.get("cache.hits") + snap.get("cache.misses") > 0);
+        assert!(snap.get("hist.ops") > 0);
         assert!(snap.get("rdma.wrs_posted") > 0);
+    }
+
+    #[test]
+    fn queue_depth_is_the_deepest_slave_ring() {
+        let mut spec = small_spec(Mode::Skv);
+        spec.cfg.num_shards = 2;
+        spec.num_clients = 8;
+        spec.pipeline = 8;
+        let mut cluster = Cluster::build(spec);
+        cluster.run();
+        let depths: Vec<u64> = (0..cluster.slaves.len())
+            .map(|i| cluster.slave_server(i).apply_queue_depth())
+            .chain([cluster.master_server().apply_queue_depth()])
+            .collect();
+        assert!(
+            depths.iter().filter(|&&d| d > 0).count() >= 2,
+            "need two non-empty rings to tell max from sum: {depths:?}"
+        );
+        let deepest = depths.iter().copied().max().unwrap_or(0);
+        assert_eq!(
+            cluster.counters_snapshot().get("shard.queue_depth"),
+            deepest,
+            "{depths:?}"
+        );
     }
 
     #[test]

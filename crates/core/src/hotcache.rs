@@ -39,9 +39,10 @@
 //!   an un-TTL'd state).
 //!
 //! Counters are exported as `cache.{hits,misses,admits,evicts,
-//! invalidations,bytes}` (see `metrics::catalog::CACHE_COUNTERS`).
+//! invalidations,bytes}` by [`HotCache::add_counters`].
 
 use skv_netsim::DetMap;
+use skv_simcore::stats::Counters;
 use skv_simcore::Frame;
 
 /// Byte overhead charged per cache entry on top of the stored reply
@@ -239,8 +240,8 @@ pub fn policy_for(kind: CachePolicyKind) -> Box<dyn CachePolicy> {
 // Counters
 // ===========================================================================
 
-/// Cache observability, exported as `cache.*` counters (catalogued in
-/// `metrics::catalog::CACHE_COUNTERS`).
+/// Cache observability, exported as `cache.*` counters by
+/// [`HotCache::add_counters`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// GETs answered straight from SoC memory.
@@ -325,6 +326,17 @@ impl HotCache {
     /// Bytes currently charged against the budget.
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// Write the `cache.*` counters into `out`, zero or not: the
+    /// [`CacheStats`] outcomes and the resident byte footprint.
+    pub fn add_counters(&self, out: &mut Counters) {
+        out.add("cache.hits", self.stats.hits);
+        out.add("cache.misses", self.stats.misses);
+        out.add("cache.admits", self.stats.admits);
+        out.add("cache.evicts", self.stats.evicts);
+        out.add("cache.invalidations", self.stats.invalidations);
+        out.add("cache.bytes", self.bytes as u64);
     }
 
     /// Number of live entries.

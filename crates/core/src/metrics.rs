@@ -1,119 +1,16 @@
 //! Run-wide measurement: latency histograms, completion time series, and
 //! the report type every experiment prints.
+//!
+//! Counters are not listed here: each component writes its own with an
+//! `add_counters` method next to its fields, and
+//! [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot)
+//! gathers them into [`RunReport::counters`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use skv_simcore::stats::{Counters, Histogram, SeriesPoint, TimeSeries};
 use skv_simcore::{SimDuration, SimTime};
-
-/// Canonical counter catalog.
-///
-/// `skv-analyze`'s `counter-drift` rule cross-checks the workspace against
-/// these lists: every `stat_*` field and every `"rdma.*"` fabric counter
-/// must appear here, and every entry here must still exist in the code —
-/// adding a counter without exporting it, or deleting one and leaving a
-/// stale name behind, fails the build's analysis gate. The runtime export
-/// is [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot),
-/// which dumps all of them keyed by subsystem.
-pub mod catalog {
-    /// Host-KV server counters (`server.rs`), summed over master + slaves.
-    pub const SERVER_STATS: &[&str] = &[
-        "stat_commands",
-        "stat_rejected",
-        "stat_applied_bytes",
-        "stat_full_syncs",
-        "stat_partial_syncs",
-        "stat_reconnects",
-        "stat_conn_errors",
-        "stat_degradations",
-        "stat_doorbells",
-        "stat_wrs_posted",
-        "stat_deferred_replies",
-        "stat_released_replies",
-        "stat_held_replies",
-        "stat_mode_changes",
-    ];
-    /// Nic-KV fan-out and replication-mode counters (`nickv.rs`).
-    pub const NIC_STATS: &[&str] = &[
-        "stat_fanout_msgs",
-        "stat_fanout_sends",
-        "stat_doorbells",
-        "stat_wrs_posted",
-        "stat_probes",
-        "stat_failovers",
-        "stat_commits",
-        "stat_retransmits",
-        "stat_chain_repairs",
-        "stat_chain_rejoins",
-        "stat_mode_changes",
-        "stat_fwd_stale_drops",
-        "stat_held_replies",
-    ];
-    /// Bench-client counters (`client.rs`), summed over all clients.
-    pub const CLIENT_STATS: &[&str] = &[
-        "stat_issued",
-        "stat_replies",
-        "stat_reconnects",
-        "stat_dial_failures",
-    ];
-    /// Storage-engine counters (`skv-store`'s `Db`), summed over engines.
-    pub const STORE_STATS: &[&str] = &["stat_expired", "stat_hits", "stat_misses"];
-    /// Sharded-engine counters (`shard.rs` + the sharded `server.rs`
-    /// paths), kept under these exact names: commands executed per shard
-    /// (summed), cross-shard fragment handoffs, the deepest slave
-    /// parse→apply ring occupancy, and the NIC's per-shard replication
-    /// ingress. `shard.ops` counts at any shard count; the rest stay zero
-    /// when `num_shards = 1`.
-    pub const SHARD_COUNTERS: &[&str] = &[
-        "shard.cross_msgs",
-        "shard.nic_ingress",
-        "shard.ops",
-        "shard.queue_depth",
-    ];
-    /// NIC-resident hot-key GET cache counters (`hotcache.rs`, surfaced
-    /// through `nickv.rs`): request outcomes (`cache.hits` served from
-    /// the SoC, `cache.misses` forwarded to the host), admission-plane
-    /// decisions (`cache.admits`, `cache.evicts`), invalidations applied
-    /// off the replication stream, and the resident byte footprint at
-    /// run end. All stay zero when `hot_cache_bytes = 0`.
-    pub const CACHE_COUNTERS: &[&str] = &[
-        "cache.admits",
-        "cache.bytes",
-        "cache.evicts",
-        "cache.hits",
-        "cache.invalidations",
-        "cache.misses",
-    ];
-    /// History-recorder counters (`histcheck.rs` event logs produced by
-    /// the bench clients under `ClusterConfig::record_history`): total
-    /// recorded ops, the read/write split, and reads abandoned by a
-    /// dial-away (`hist.aborts` — excluded from the linearizability
-    /// search). All stay zero when recording is off.
-    pub const HIST_COUNTERS: &[&str] = &[
-        "hist.aborts",
-        "hist.ops",
-        "hist.reads",
-        "hist.writes",
-    ];
-    /// Fabric counters kept by `skv-netsim` under these exact names.
-    pub const RDMA_COUNTERS: &[&str] = &[
-        "rdma.access_errors",
-        "rdma.bytes",
-        "rdma.connections",
-        "rdma.cq_notifies",
-        "rdma.doorbells",
-        "rdma.drops",
-        "rdma.qp_errors",
-        "rdma.reads",
-        "rdma.rnr",
-        "rdma.sends",
-        "rdma.wcs_polled",
-        "rdma.write_imm",
-        "rdma.writes",
-        "rdma.wrs_posted",
-    ];
-}
 
 /// Shared measurement sink written by client actors.
 pub struct MetricsHub {
@@ -129,10 +26,6 @@ pub struct MetricsHub {
     pub ops: u64,
     /// Error replies observed (e.g. `min-slaves` rejections).
     pub errors: u64,
-    /// Robustness events across the whole run (client reconnects, server
-    /// degradations, resyncs — see the `core::server`/`core::client`
-    /// counter names).
-    pub chaos: Counters,
     /// Start of the measurement window.
     pub measure_from: SimTime,
     /// End of the measurement window.
@@ -152,7 +45,6 @@ impl MetricsHub {
             completions: TimeSeries::new(SimDuration::from_millis(500)),
             ops: 0,
             errors: 0,
-            chaos: Counters::new(),
             measure_from: from,
             measure_until: until,
         }))
@@ -200,9 +92,10 @@ pub struct RunReport {
     pub p99_latency_us: f64,
     /// Throughput over time (500 ms buckets) across the whole run.
     pub series: Vec<SeriesPoint>,
-    /// Robustness events observed during the run (reconnects, degradations,
-    /// resyncs).
-    pub chaos: Counters,
+    /// Every counter in the testbed at report time, keyed by subsystem
+    /// (see [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot));
+    /// empty for a report built straight from a hub.
+    pub counters: Counters,
 }
 
 impl RunReport {
@@ -221,7 +114,7 @@ impl RunReport {
             p95_latency_us: h.p95() as f64 / 1000.0,
             p99_latency_us: h.p99() as f64 / 1000.0,
             series: hub.completions.points(),
-            chaos: hub.chaos.clone(),
+            counters: Counters::new(),
         }
     }
 

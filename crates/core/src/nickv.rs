@@ -19,13 +19,14 @@ use std::collections::VecDeque;
 use skv_netsim::{
     CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, WcOpcode, WcStatus,
 };
+use skv_simcore::stats::Counters;
 use skv_simcore::{Actor, ActorId, Context, CorePool, Payload, SimDuration, SimTime};
 use skv_store::repl::ReplicationPosition;
 
 use crate::channel::{Channel, ChannelMsg};
 use crate::config::ClusterConfig;
 use crate::cqdrain;
-use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache};
+use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, HotCache};
 use crate::protocol::{tag, NodeMsg, ReplyOrder};
 use crate::replmode::{quorum_slave_acks, ReplModeKind};
 
@@ -318,10 +319,28 @@ impl NicKv {
         self.active_mode
     }
 
-    /// Cache counters and the resident byte footprint, when the hot
-    /// cache is enabled.
-    pub fn cache_stats(&self) -> Option<(CacheStats, usize)> {
-        self.cache.as_ref().map(|c| (c.stats, c.bytes()))
+    /// Write this Nic-KV's counters into `out`, zero or not: every
+    /// `nic.stat_*` field, `shard.nic_ingress` (summed over master
+    /// shards) and, when the hot cache is enabled, its `cache.*`
+    /// counters.
+    pub fn add_counters(&self, out: &mut Counters) {
+        out.add("nic.stat_fanout_msgs", self.stat_fanout_msgs);
+        out.add("nic.stat_fanout_sends", self.stat_fanout_sends);
+        out.add("nic.stat_doorbells", self.stat_doorbells);
+        out.add("nic.stat_wrs_posted", self.stat_wrs_posted);
+        out.add("nic.stat_probes", self.stat_probes);
+        out.add("nic.stat_failovers", self.stat_failovers);
+        out.add("nic.stat_commits", self.stat_commits);
+        out.add("nic.stat_retransmits", self.stat_retransmits);
+        out.add("nic.stat_chain_repairs", self.stat_chain_repairs);
+        out.add("nic.stat_chain_rejoins", self.stat_chain_rejoins);
+        out.add("nic.stat_mode_changes", self.stat_mode_changes);
+        out.add("nic.stat_fwd_stale_drops", self.stat_fwd_stale_drops);
+        out.add("nic.stat_held_replies", self.stat_held_replies);
+        out.add("shard.nic_ingress", self.shard_ingress.iter().sum());
+        if let Some(cache) = &self.cache {
+            cache.add_counters(out);
+        }
     }
 
     /// The hot cache itself (test observability).
@@ -333,12 +352,6 @@ impl NicKv {
     /// `ClusterConfig::validate` keeps clear of sharded fan-out threads.
     fn fe_core(&self) -> usize {
         self.cfg.machines.nic_cores.max(1) - 1
-    }
-
-    /// Replication ingress per master shard (empty counts unless the
-    /// cluster runs with `num_shards > 1`).
-    pub fn shard_ingress(&self) -> &[u64] {
-        &self.shard_ingress
     }
 
     /// Classify one replicated stream frame by the owning master shard

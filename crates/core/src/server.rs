@@ -20,6 +20,7 @@
 //! re-requests synchronization from its last applied offset).
 
 use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, TcpConnId};
+use skv_simcore::stats::Counters;
 use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
@@ -424,6 +425,42 @@ impl KvServer {
     /// `num_shards > 1`).
     pub fn apply_queue_depth(&self) -> u64 {
         u64::try_from(self.apply_ring.max_depth).unwrap_or(u64::MAX)
+    }
+
+    /// Write this server's counters into `out`, zero or not: every
+    /// `server.stat_*` field, the `shard.*` engine counters and the
+    /// `store.stat_*` counters of its engines. Counts add up across
+    /// servers; `shard.queue_depth` is a high-water mark, so it keeps
+    /// the maximum instead.
+    pub fn add_counters(&self, out: &mut Counters) {
+        out.add("server.stat_commands", self.stat_commands);
+        out.add("server.stat_rejected", self.stat_rejected);
+        out.add("server.stat_applied_bytes", self.stat_applied_bytes);
+        out.add("server.stat_full_syncs", self.stat_full_syncs);
+        out.add("server.stat_partial_syncs", self.stat_partial_syncs);
+        out.add("server.stat_reconnects", self.stat_reconnects);
+        out.add("server.stat_conn_errors", self.stat_conn_errors);
+        out.add("server.stat_degradations", self.stat_degradations);
+        out.add("server.stat_doorbells", self.stat_doorbells);
+        out.add("server.stat_wrs_posted", self.stat_wrs_posted);
+        out.add("server.stat_deferred_replies", self.stat_deferred_replies);
+        out.add("server.stat_released_replies", self.stat_released_replies);
+        out.add("server.stat_held_replies", self.stat_held_replies);
+        out.add("server.stat_mode_changes", self.stat_mode_changes);
+        out.add("shard.ops", self.shard_ops.iter().sum());
+        out.add("shard.cross_msgs", self.shard_cross_msgs);
+        let depth = self.apply_queue_depth();
+        out.add(
+            "shard.queue_depth",
+            depth.saturating_sub(out.get("shard.queue_depth")),
+        );
+        for engine in &self.engines {
+            let db = engine.db();
+            let (hits, misses) = db.stats_hit_miss();
+            out.add("store.stat_hits", hits);
+            out.add("store.stat_misses", misses);
+            out.add("store.stat_expired", db.stat_expired());
+        }
     }
 
     /// Master replication offset.

@@ -44,14 +44,14 @@ fn lossy_fabric_demo() {
     println!(
         "  {} ops completed; {} messages dropped by the fault plan",
         report.ops,
-        report.chaos.get("faults.rdma_dropped")
+        report.counters.get("faults.rdma_dropped")
     );
     println!(
         "  QP errors: {}; client reconnects: {}; server reconnects: {}; partial resyncs: {}",
-        report.chaos.get("rdma.qp_errors"),
-        report.chaos.get("client.reconnects"),
-        report.chaos.get("server.reconnects"),
-        report.chaos.get("server.partial_syncs"),
+        report.counters.get("rdma.qp_errors"),
+        report.counters.get("client.stat_reconnects"),
+        report.counters.get("server.stat_reconnects"),
+        report.counters.get("server.stat_partial_syncs"),
     );
     let digests = cluster.keyspace_digests();
     assert!(digests.iter().all(|&d| d == digests[0]));

@@ -42,6 +42,19 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::redundant_closure_for_method_calls \
   -D clippy::uninlined_format_args
 
+echo "==> skvbench smoke (all three workloads, 1 s each)"
+# skvbench is a cargo workspace of its own, so the steps above never
+# compile it. It exits 0 even on an incorrect run; the verdict is on the
+# last line of its output (the JSON result).
+cargo build --release --offline -q --manifest-path skvbench/Cargo.toml --target-dir target/skvbench
+for workload in set-offload zipf-read-cache quorum-history; do
+  result=$(target/skvbench/release/skvbench --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+  if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+    echo "FAIL: skvbench $workload: ${result:-no output}"
+    exit 1
+  fi
+done
+
 echo "==> bench smoke (non-gating)"
 # A seconds-scale pass over the wall-clock suite; regressions are judged
 # from BENCH_results.json trends, not pass/fail, so failure only warns.

@@ -99,15 +99,15 @@ fn lossy_link_set_stream_completes() {
     let report = cluster.report();
     assert!(report.ops > 500, "stream stalled: {} ops", report.ops);
     assert!(
-        report.chaos.get("faults.rdma_dropped") > 0,
+        report.counters.get("faults.rdma_dropped") > 0,
         "plan must actually drop messages"
     );
     assert!(
-        report.chaos.get("rdma.qp_errors") > 0,
+        report.counters.get("rdma.qp_errors") > 0,
         "drops must surface as QP errors"
     );
     assert!(
-        report.chaos.get("client.reconnects") > 0,
+        report.counters.get("client.stat_reconnects") > 0,
         "clients must recover by reconnecting"
     );
 }
@@ -169,7 +169,7 @@ fn chaos_run(spec: RunSpec, chaos: &ChaosSpec) -> (u64, Vec<u64>, u64) {
     (
         report.ops,
         cluster.keyspace_digests(),
-        report.chaos.get("rdma.qp_errors"),
+        report.counters.get("rdma.qp_errors"),
     )
 }
 

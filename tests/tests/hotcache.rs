@@ -91,9 +91,9 @@ fn hot_gets_hit_in_soc_cache() {
         "writes on hot keys never touched the cache"
     );
     assert!(cache_counter(&cluster, "cache.bytes") > 0, "cache is empty");
-    // The report's chaos set carries the same counters (gated on the
-    // cache being on), so ablations and reports can't drift apart.
-    assert_eq!(report.chaos.get("cache.hits"), hits);
+    // The report carries the same snapshot, so ablations and reports
+    // can't drift apart.
+    assert_eq!(report.counters.get("cache.hits"), hits);
     assert_converged(&cluster);
 }
 

@@ -181,7 +181,7 @@ fn bench_history_linearizable(
     assert!(report.ops > 500, "{mode}: only {} ops", report.ops);
     if read_replica.is_none() && cluster.spec.cfg.hot_cache_enabled() {
         assert!(
-            report.chaos.get("cache.hits") > 0,
+            report.counters.get("cache.hits") > 0,
             "{mode}: no cache-served GETs in the recorded traffic"
         );
     }
@@ -318,7 +318,8 @@ proptest! {
     /// slave counts: every committed write's ack set is a distinct-slave
     /// set of at least ⌈(N+1)/2⌉ members (so master + acks is a majority
     /// of the replica set), which makes any two write/read majorities
-    /// intersect — checked directly pairwise below.
+    /// intersect — checked below as a majority assertion on every
+    /// commit's actual ack set.
     #[test]
     fn quorum_commit_sets_always_majorities(
         slaves in 1usize..5,
@@ -354,15 +355,13 @@ proptest! {
                 "offset {off} committed with {} acks, quorum needs {needed}",
                 acks.len()
             );
-        }
-        // Pairwise: any two commit quorums (master ∪ acks) intersect —
-        // trivially via the master, and on slave sets whenever both
-        // majorities exceed half the slaves.
-        for (i, (_, a)) in nic.committed_acks.iter().enumerate() {
-            for (_, b) in &nic.committed_acks[i + 1..] {
-                let joint = 2 * (1 + needed);
-                prop_assert!(joint > slaves + 1, "quorums of {a:?}/{b:?} may miss");
-            }
+            // Master ∪ acks is a strict majority of the slaves + 1
+            // replicas, so any two commit quorums intersect.
+            prop_assert!(
+                2 * (1 + acks.len()) > slaves + 1,
+                "offset {off} committed on a minority: master + {acks:?} of {} replicas",
+                slaves + 1
+            );
         }
     }
 
